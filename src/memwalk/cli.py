@@ -51,7 +51,6 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     out: str | None = None
-    format: str = "json"
     tag: str | None = None
     p_grid: list[float] = dataclasses.field(default_factory=list)
     theta_grid: list[float] = dataclasses.field(default_factory=list)
@@ -98,20 +97,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Regime):
-        return obj.value
-    return obj
-
-
 def cmd_theory(cfg: RunConfig) -> int:
     params = validate_params(cfg.d, cfg.lazy, cfg.p, cfg.theta)
     regime = theory.classify_regime(params)
@@ -146,9 +131,8 @@ def cmd_theory(cfg: RunConfig) -> int:
             "weight_square_series": theory.martingale_square_series(params),
             "limit_mean": limit.mean,
             "limit_second_moment": limit.second_moment,
-            "limit_converged": limit.converged,
         }
-    _write_text(cfg.out, json.dumps(_json_ready(doc), indent=2) + "\n")
+    _write_text(cfg.out, json.dumps(montecarlo.json_ready(doc), indent=2) + "\n")
     return 0
 
 
@@ -244,7 +228,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         "position_cov": marg.position_cov,
         "mean_axis_counts": marg.mean_axis_counts,
     }
-    _write_text(cfg.out, json.dumps(_json_ready(doc), indent=2) + "\n")
+    _write_text(cfg.out, json.dumps(montecarlo.json_ready(doc), indent=2) + "\n")
     return 0
 
 
@@ -280,7 +264,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, help="64-bit master seed")
         sp.add_argument("--workers", type=int, help="parallel worker cap")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["json", "csv"], help="output format")
         if name == "verify":
             sp.add_argument("--tag", choices=sorted(montecarlo._VERIFIERS), help="claim to verify")
         if name == "phase-diagram":
@@ -296,7 +279,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         cfg.subcommand = args.subcommand
     else:
         cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("d", "lazy", "p", "theta", "init", "n_steps", "replicas", "seed", "workers", "out", "format", "tag"):
+    for name in ("d", "lazy", "p", "theta", "init", "n_steps", "replicas", "seed", "workers", "out", "tag"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)

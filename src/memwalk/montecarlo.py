@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,18 @@ def _simulate_block(
     return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _process_count(workers: int, replicas: int, cpus: int) -> int:
+    """Worker processes to start: the request, capped by replicas and CPUs."""
+    return max(1, min(int(workers), replicas, cpus))
+
+
 def _run_blocks(
     params: ModelParams,
     init: InitialSpec,
@@ -182,8 +195,8 @@ def _run_blocks(
 ) -> _BlockSums:
     if replicas * n_steps**2 >= 2**62:
         raise ValueError("replicas * n_steps^2 too large for exact integer accumulation")
-    workers = max(1, int(workers))
-    bounds = np.linspace(0, replicas, min(workers, replicas) + 1, dtype=int)
+    workers = _process_count(workers, replicas, _usable_cpus())
+    bounds = np.linspace(0, replicas, workers + 1, dtype=int)
     tasks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(tasks) == 1:
         return _simulate_block(params, init, n_steps, marks, seed, 0, replicas, retain)
@@ -240,7 +253,8 @@ def run_ensemble(
     """Simulate R independent walks and summarize positions at checkpoints.
 
     Deterministic in (seed, params, replicas, checkpoints) regardless of
-    ``workers``. An empty checkpoint list records the final step only.
+    ``workers``, which is capped at the usable CPU count. An empty
+    checkpoint list records the final step only.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a sample covariance")
@@ -291,9 +305,7 @@ def cross_time_covariance(
     """Empirical Cov(S_(s*n), S_(t*n)) / n at n = n_scale, diffusive regime."""
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
-    regime = theory.classify_regime(params)
-    if regime not in (Regime.DIFFUSIVE, Regime.NO_TRANSITION):
-        raise RegimeMismatchError(f"cross-time scaling check needs the diffusive regime, got {regime.value}")
+    theory._require_diffusive(params)
     ns, nt = int(s * n_scale), int(t * n_scale)
     summary = run_ensemble(
         params, init, nt, sorted({ns, nt}), replicas, seed,
@@ -405,18 +417,20 @@ class VerificationReport:
     config: dict
 
     def as_dict(self) -> dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return clean(obj.tolist())
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            return obj
+        return json_ready(dataclasses.asdict(self))
 
-        return clean(dataclasses.asdict(self))
+
+def json_ready(obj):
+    """Copy of nested dicts and sequences with numpy values as plain Python."""
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return json_ready(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
 
 
 def _config_dict(params: ModelParams, budget: VerifyBudget) -> dict:
@@ -544,8 +558,6 @@ def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> Verific
 
 
 def _verify_moments(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
-    if theory.classify_regime(params) is not Regime.SUPERDIFFUSIVE:
-        raise RegimeMismatchError("moment verification needs the superdiffusive regime")
     n = budget.n_steps
     R = budget.replicas
     r = params.second_eigenvalue
@@ -578,12 +590,13 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> VerificationRe
     )
 
 
+#: Verifier of each tag and the regimes its claim is about.
 _VERIFIERS = {
-    "lln": _verify_lln,
-    "clt-diffusive": _verify_clt_diffusive,
-    "clt-critical": _verify_clt_critical,
-    "superdiffusive": _verify_superdiffusive,
-    "moments": _verify_moments,
+    "lln": (_verify_lln, tuple(Regime)),
+    "clt-diffusive": (_verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION)),
+    "clt-critical": (_verify_clt_critical, (Regime.CRITICAL,)),
+    "superdiffusive": (_verify_superdiffusive, (Regime.SUPERDIFFUSIVE,)),
+    "moments": (_verify_moments, (Regime.SUPERDIFFUSIVE,)),
 }
 
 
@@ -596,14 +609,11 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     """
     if tag not in _VERIFIERS:
         raise ValueError(f"unknown verification tag {tag!r}")
+    verifier, regimes = _VERIFIERS[tag]
+    regime = theory.classify_regime(params)
+    if regime not in regimes:
+        allowed = " or ".join(r.value for r in regimes)
+        raise RegimeMismatchError(f"tag {tag} needs a {allowed} point, got {regime.value}")
     if budget is None:
         budget = default_budget(tag)
-    if tag == "clt-diffusive":
-        regime = theory.classify_regime(params)
-        if regime not in (Regime.DIFFUSIVE, Regime.NO_TRANSITION):
-            raise RegimeMismatchError(f"tag clt-diffusive needs a diffusive point, got {regime.value}")
-    if tag == "clt-critical" and theory.classify_regime(params) is not Regime.CRITICAL:
-        raise RegimeMismatchError("tag clt-critical needs p equal to the critical probability")
-    if tag == "superdiffusive" and theory.classify_regime(params) is not Regime.SUPERDIFFUSIVE:
-        raise RegimeMismatchError("tag superdiffusive needs p above the critical probability")
-    return _VERIFIERS[tag](params, budget)
+    return verifier(params, budget)

@@ -4,8 +4,14 @@ Everything here is analytic: the phase boundary and regime
 classification, the strong-law limit, the spectral decomposition of the
 mean replacement matrix, limiting covariances of the count and position
 fluctuations in the diffusive and critical regimes, martingale weights
-and their squared series, exact moment propagation, and the second
-moment of the superdiffusive scaled limit.
+and their squared series, exact finite-n moments, and the second moment
+of the superdiffusive scaled limit.
+
+The exact moments use the rank-one structure of the mean replacement
+matrix, A = lam I + (1 - lam) v 1^T: the mean and covariance of the
+counts at every n are fixed matrices weighted by scalar sequences run
+forward in n, and the superdiffusive limit of the covariance is a closed
+form plus one series with a Hurwitz-zeta tail.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln, zeta
 
 from . import urn
-from .model import InitialSpec, ModelParams
+from .model import InitialSpec, ModelParams, base_step_rates
 
 #: Absolute tolerance on p - critical_probability used to call a
 #: parameter point critical. Callers wanting critical behaviour should
@@ -257,11 +263,24 @@ def martingale_coefficients(params: ModelParams, n: int) -> np.ndarray:
     return np.exp(gammaln(r + 1.0) + _log_gamma_ratio(k, r))
 
 
+def _ratio_series(factors: np.ndarray, tail_scale: float, s: float, c: float) -> float:
+    """sum_{k>=1} t_k with t_k = factors[0] * ... * factors[k-1].
+
+    The head, k <= M = len(factors), is summed term by term; ``factors``
+    is overwritten with it. Beyond it the terms follow
+    tail_scale * k^(-s) (1 + c/k + O(k^-2)), and that tail is evaluated
+    through Hurwitz zeta functions.
+    """
+    cutoff = len(factors)
+    head = float(np.cumprod(factors, out=factors).sum())
+    tail = tail_scale * (zeta(s, cutoff + 1.0) + c * zeta(s + 1.0, cutoff + 1.0))
+    return head + float(tail)
+
+
 def _square_series(rate: float) -> float:
     """sum_{k>=1} (Gamma(rate+1) Gamma(k) / Gamma(rate+k))^2 for 2*rate > 1.
 
-    The head is summed term by term; the tail is evaluated through
-    Hurwitz zeta functions using the expansion
+    Half a million head terms, then the tail of the expansion
     a_k^2 = Gamma(rate+1)^2 k^(-2 rate) (1 + rate(1-rate)/k + O(k^-2)),
     whose truncation error at the cutoff is below 1e-10 for every
     admissible rate. A fixed-term truncation would need ~1e10 terms near
@@ -270,16 +289,11 @@ def _square_series(rate: float) -> float:
     if 2.0 * rate <= 1.0:
         raise RegimeMismatchError("squared weight series diverges unless 2*rate > 1")
     cutoff = 500_000
-    k = np.arange(1, cutoff + 1, dtype=float)
+    k = np.arange(1, cutoff, dtype=float)
     factors = np.ones(cutoff)
-    factors[1:] = (k[:-1] / (k[:-1] + rate)) ** 2
-    head = float(np.cumprod(factors).sum())
+    factors[1:] = (k / (k + rate)) ** 2
     g2 = math.exp(2.0 * math.lgamma(rate + 1.0))
-    tail = g2 * (
-        zeta(2.0 * rate, cutoff + 1.0)
-        + rate * (1.0 - rate) * zeta(2.0 * rate + 1.0, cutoff + 1.0)
-    )
-    return head + float(tail)
+    return _ratio_series(factors, g2, 2.0 * rate, rate * (1.0 - rate))
 
 
 def martingale_square_series(params: ModelParams) -> float:
@@ -290,22 +304,6 @@ def martingale_square_series(params: ModelParams) -> float:
     3F2(1, 1, 1; r+1, r+1; 1).
     """
     return _square_series(params.second_eigenvalue)
-
-
-def bias_law(params: ModelParams) -> np.ndarray:
-    """Move distribution of the bias branch: (p, (1-p)/(K-1), ...)."""
-    law = np.full(params.K, (1.0 - params.p) / (params.K - 1.0))
-    law[0] = params.p
-    return law
-
-
-def bias_moment_matrix(params: ModelParams) -> np.ndarray:
-    """Diagonal d x d surrogate diag(p, (1-p)/(K-1), ...) for the bias
-    branch second moment. Kept as a documented reference constant; the
-    moment propagation below does not use it."""
-    diag = np.full(params.d, (1.0 - params.p) / (params.K - 1.0))
-    diag[0] = params.p
-    return np.diag(diag)
 
 
 @dataclass
@@ -322,144 +320,119 @@ class MomentTable:
     mean_position: np.ndarray
     position_cov: np.ndarray
 
-    def at(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        i = int(n) - 1
-        if not 0 <= i < len(self.steps):
-            raise IndexError(f"step {n} outside tabulated range")
-        return (
-            self.mean_counts[i],
-            self.counts_second[i],
-            self.mean_position[i],
-            self.position_cov[i],
-        )
-
-
-def _moment_recursion(params: ModelParams, init: InitialSpec):
-    """Yield (n, mean, second) count moments for n = 1, 2, ...
-
-    Exact forward recursion: m_{n+1} = (I + A/n) m_n and
-    q_{n+1} = q_n + (A q_n + q_n A^T + diag(A m_n)) / n, where A is the
-    mean replacement matrix; diag(A m_n) is the mixture of the per-color
-    added-ball second moments, which are all diagonal. Yielded arrays are
-    live; copy them to keep.
-    """
-    A = urn.mean_replacement_matrix(params)
-    pi = init.distribution(params)
-    m = pi.copy()
-    q = np.diag(pi).astype(float)
-    diag_idx = np.arange(params.K)
-    n = 1
-    while True:
-        yield n, m, q
-        am = A @ m
-        aq = A @ q
-        q = q + (aq + aq.T) / n
-        q[diag_idx, diag_idx] += am / n
-        m = m + am / n
-        n += 1
-
 
 def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentTable:
     """Tabulate exact count and position moments for n = 1..n_max.
 
-    Exact up to floating-point roundoff; agrees with full path
-    enumeration for small instances.
+    With b = base_step_rates, pi the first-step law and lam the second
+    eigenvalue, the next move given the counts N_n has law
+    mu = b + (lam/n) N_n. Its mean mu_n = b + (lam/n) m_n is the
+    increment of m_n = E N_n, so m_n = c_n pi + e_n b and
+    mu_n = x_n b + y_n pi with x_n = 1 + lam e_n/n, y_n = lam c_n/n.
+    The covariance obeys
+    Sigma_{n+1} = (1 + 2 lam/n) Sigma_n + diag(mu_n) - mu_n mu_n^T,
+    so it is a combination of the fixed matrices diag b, diag pi, b b^T,
+    b pi^T + pi b^T and pi pi^T, starting from Sigma_1 = diag pi - pi pi^T.
+    Only these scalar weights are run forward, never divided by their
+    running products, which vanish at lam = -1 and lam = -1/2. Exact up
+    to roundoff; agrees with full path enumeration for small instances.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    K, d = params.K, params.d
-    proj = urn.pairing_matrix(d, params.lazy)
-    mean_counts = np.empty((n_max, K))
-    counts_second = np.empty((n_max, K, K))
-    mean_position = np.empty((n_max, d))
-    position_cov = np.empty((n_max, d, d))
-
-    for n, m, q in _moment_recursion(params, init):
-        i = n - 1
-        mean_counts[i] = m
-        counts_second[i] = q
-        mp = proj @ m
-        mean_position[i] = mp
-        position_cov[i] = proj @ q @ proj.T - np.outer(mp, mp)
-        if n == n_max:
-            break
+    lam = params.second_eigenvalue
+    b = base_step_rates(params)
+    pi = init.distribution(params)
+    c, e = 1.0, 0.0
+    wb, wp, wbb, wbp, wpp = 0.0, 1.0, 0.0, 0.0, -1.0
+    coef = np.empty((n_max, 7))
+    for n in range(1, n_max + 1):
+        coef[n - 1] = c, e, wb, wp, wbb, wbp, wpp
+        x, y, g = 1.0 + lam * e / n, lam * c / n, 1.0 + 2.0 * lam / n
+        wb, wp, wbb, wbp, wpp = g * wb + x, g * wp + y, g * wbb - x * x, g * wbp - x * y, g * wpp - y * y
+        c, e = c + y, e + x
+    c, e, cov = coef[:, 0], coef[:, 1], coef[:, 2:]
+    # m m^T = e^2 b b^T + c e (b pi^T + pi b^T) + c^2 pi pi^T, so the raw
+    # second moment is one more combination of the same five matrices
+    second = cov.copy()
+    second[:, 2:] += np.column_stack([e * e, c * e, c * c])
+    basis = np.stack([
+        np.diag(b), np.diag(pi), np.outer(b, b), np.outer(b, pi) + np.outer(pi, b), np.outer(pi, pi),
+    ])
+    proj = urn.pairing_matrix(params.d, params.lazy)
+    mean_counts = np.outer(c, pi) + np.outer(e, b)
     return MomentTable(
         steps=np.arange(1, n_max + 1),
         mean_counts=mean_counts,
-        counts_second=counts_second,
-        mean_position=mean_position,
-        position_cov=position_cov,
+        counts_second=np.tensordot(second, basis, axes=1),
+        mean_position=mean_counts @ proj.T,
+        position_cov=np.tensordot(cov, proj @ basis @ proj.T, axes=1),
     )
+
+
+#: Terms of the series in limit_moments that are summed one by one. With
+#: the Hurwitz-zeta tail beyond them the series is exact to 1e-12.
+_LIMIT_HEAD = 20_000
+
+
+def _drift_square_weight(r: float) -> float:
+    """T2 = r^2 Gamma(1+2r)/Gamma(1+r)^2 sum_{k>=1} Gamma(k+r)^2 / (Gamma(k+1) Gamma(k+1+2r)).
+
+    The terms behave like k^-2 (1 - r(r+2)/k). Relative to the first,
+    Gamma(1+r)^2 / Gamma(2+2r), they are products of the ratios below.
+    At r = 1 the sum is 1/2 and T2 = 1.
+    """
+    k = np.arange(1, _LIMIT_HEAD, dtype=float)
+    factors = np.ones(_LIMIT_HEAD)
+    factors[1:] = (k + r) ** 2 / ((k + 1.0) * (k + 1.0 + 2.0 * r))
+    inv_first = math.exp(math.lgamma(2.0 + 2.0 * r) - 2.0 * math.lgamma(1.0 + r))
+    return r * r / (1.0 + 2.0 * r) * _ratio_series(factors, inv_first, 2.0, -r * (r + 2.0))
 
 
 @dataclass
 class LimitMoments:
     """Moments of the scaled superdiffusive limit L = lim S-hat_n / n^r.
 
-    mean is exactly zero. second_moment is obtained from the exact
-    moment recursion rescaled by (Gamma(n)/Gamma(r+n))^2 on a geometric
-    schedule with Richardson extrapolation.
+    mean is exactly zero. second_moment is the exact series of
+    ``limit_moments``; n_final is the number of its terms summed one by
+    one before the Hurwitz-zeta tail.
     """
 
     mean: np.ndarray
     second_moment: np.ndarray
-    converged: bool
     n_final: int
 
 
-def limit_moments(
-    params: ModelParams,
-    init: InitialSpec,
-    tol: float = 1e-4,
-    max_exponent: int = 21,
-) -> LimitMoments:
-    """Second moment of the superdiffusive scaled limit.
+def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
+    """Second moment of the superdiffusive scaled limit, r = second_eigenvalue.
 
-    Evaluates (Gamma(n)/Gamma(r+n))^2 Cov(S_n) at n = 2^k, accelerates
-    the known leading error terms (n^(1-2r) from the summable tail, then
-    n^(-min(r,1))), and stops when successive accelerated values agree
-    within ``tol`` in max-norm.
+    With v = b / (1 - r) (v = pi at theta = p = 1, where b = 0) and
+    w = pi - v, the mean of exact_moments is m_n = n v + c_n w, and the
+    forcing of its covariance recursion is B0 + t_n B1 - t_n^2 B2 with
+    t_n = r c_n / n, B0 = diag v - v v^T, B1 = diag w - v w^T - w v^T and
+    B2 = w w^T. Summing the forcing against the inverse growth factor
+    1 / prod_{k<=n} (1 + 2r/k) gives Sigma_1 + B0/(2r-1) + B1 - T2 B2:
+    the weights of B0 and B1 are Beta-integral sums in closed form and
+    T2 is ``_drift_square_weight``. As the growth factor is
+    ~ n^(2r) / Gamma(1+2r), Cov(N_n) / n^(2r) tends to that matrix over
+    Gamma(1+2r), and the pairing projects it to position space.
     """
     if classify_regime(params) is not Regime.SUPERDIFFUSIVE:
         raise RegimeMismatchError("limit moments exist only in the superdiffusive regime")
     r = params.second_eigenvalue
-    d = params.d
-    proj = urn.pairing_matrix(d, params.lazy)
-    marks = [2**k for k in range(8, max_exponent + 1)]
-    mark_set = set(marks)
-
-    def accelerate(seq: list[np.ndarray], exponent: float) -> list[np.ndarray]:
-        w = 2.0**-exponent
-        return [(b - w * a) / (1.0 - w) for a, b in zip(seq, seq[1:])]
-
-    q1 = 2.0 * r - 1.0
-    scaled: list[np.ndarray] = []
-    converged = False
-    best = None
-    n_final = marks[-1]
-    for n, m, q in _moment_recursion(params, init):
-        if n in mark_set:
-            mp = proj @ m
-            cov = proj @ q @ proj.T - np.outer(mp, mp)
-            scale = math.exp(2.0 * (math.lgamma(n) - math.lgamma(r + n)))
-            scaled.append(scale * cov)
-            estimates = accelerate(accelerate(scaled, q1), min(r, 1.0))
-            if len(estimates) >= 2:
-                best = estimates[-1]
-                if np.max(np.abs(estimates[-1] - estimates[-2])) < tol:
-                    converged = True
-                    n_final = n
-                    break
-        if n >= marks[-1]:
-            break
-    if best is None:
-        best = scaled[-1]
-    return LimitMoments(
-        mean=np.zeros(d),
-        second_moment=best,
-        converged=converged,
-        n_final=n_final,
-    )
+    pi = init.distribution(params)
+    if params.theta == 1.0 and params.p == 1.0:
+        v = pi
+    else:
+        v = base_step_rates(params) / (1.0 - r)
+    w = pi - v
+    counts = (
+        np.diag(pi) - np.outer(pi, pi)
+        + (np.diag(v) - np.outer(v, v)) / (2.0 * r - 1.0)
+        + np.diag(w) - np.outer(v, w) - np.outer(w, v)
+        - _drift_square_weight(r) * np.outer(w, w)
+    ) / math.gamma(1.0 + 2.0 * r)
+    proj = urn.pairing_matrix(params.d, params.lazy)
+    return LimitMoments(mean=np.zeros(params.d), second_moment=proj @ counts @ proj.T, n_final=_LIMIT_HEAD)
 
 
 def uniform_start_limit_second_moment(params: ModelParams) -> np.ndarray:

@@ -87,6 +87,14 @@ class TestRunEnsemble:
         assert np.array_equal(a.at(200).mean, b.at(200).mean)
         assert np.array_equal(a.at(200).cov, b.at(200).cov)
 
+    def test_worker_clamp(self):
+        # pure arithmetic: no process is started here
+        assert montecarlo._process_count(1_000, 50, 2) == 2
+        assert montecarlo._process_count(8, 3, 16) == 3
+        assert montecarlo._process_count(3, 100, 16) == 3
+        assert montecarlo._process_count(0, 10, 4) == 1
+        assert montecarlo._usable_cpus() >= 1
+
     def test_iid_mean_within_clt_band(self):
         params = validate_params(1, False, 0.7, 0.0)
         summary = run_ensemble(params, UNIFORM, 2_000, [2_000], 2_000, seed=31)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, zeta
 
 from memwalk import oracle, theory, urn
 from memwalk.model import InitialSpec, validate_params
@@ -22,6 +23,49 @@ from memwalk.theory import (
     spectral_decomposition,
     uniform_start_limit_second_moment,
 )
+
+
+def moment_recursion(params, init, n_max):
+    """Count means and second moments for n = 1..n_max by the K x K recursion.
+
+    m_{n+1} = (I + A/n) m_n and q_{n+1} = q_n + (A q_n + q_n A^T + diag(A m_n)) / n,
+    where A is the mean replacement matrix; diag(A m_n) is the mixture of
+    the per-color added-ball second moments, which are all diagonal. The
+    reference that the closed form of exact_moments is checked against.
+    """
+    A = urn.mean_replacement_matrix(params)
+    m = init.distribution(params)
+    q = np.diag(m)
+    diag_idx = np.arange(params.K)
+    means, seconds = [], []
+    for n in range(1, n_max + 1):
+        means.append(m)
+        seconds.append(q)
+        am = A @ m
+        aq = A @ q
+        q = q + (aq + aq.T) / n
+        q[diag_idx, diag_idx] += am / n
+        m = m + am / n
+    return np.array(means), np.array(seconds)
+
+
+def assert_matches_recursion(params, init, n_max):
+    """Closed form and recursion agree to 1e-12 of max|E N_n N_n^T| at every n."""
+    table = exact_moments(params, init, n_max)
+    means, seconds = moment_recursion(params, init, n_max)
+    scale = np.abs(seconds).max(axis=(1, 2))
+    mean_err = np.abs(table.mean_counts - means).max(axis=1)
+    second_err = np.abs(table.counts_second - seconds).max(axis=(1, 2))
+    assert np.all(mean_err <= 1e-12 * scale), (params, init)
+    assert np.all(second_err <= 1e-12 * scale), (params, init)
+
+
+def first_steps(K):
+    return [
+        InitialSpec.uniform(),
+        InitialSpec.fixed(K - 1),
+        InitialSpec.custom(np.arange(1.0, K + 1.0) / (K * (K + 1) / 2)),
+    ]
 
 
 def sample_grid(rng, count=50):
@@ -289,6 +333,19 @@ class TestSquareSeries:
         with pytest.raises(RegimeMismatchError):
             martingale_square_series(validate_params(1, False, 0.6, 1.0))
 
+    @pytest.mark.parametrize("r", [0.6, 0.8, 0.95, 1.0])
+    def test_drift_square_weight_matches_direct_sum(self, r):
+        # term by term in log-gamma space, 2e5 terms, then the same tail
+        k = np.arange(1, 200_001, dtype=float)
+        terms = np.exp(2.0 * gammaln(k + r) - gammaln(k + 1.0) - gammaln(k + 1.0 + 2.0 * r))
+        total = terms.sum() + zeta(2.0, k[-1] + 1.0) - r * (r + 2.0) * zeta(3.0, k[-1] + 1.0)
+        direct = r * r * math.gamma(1.0 + 2.0 * r) / math.gamma(1.0 + r) ** 2 * total
+        assert abs(theory._drift_square_weight(r) / direct - 1.0) < 1e-12
+
+    def test_drift_square_weight_at_rate_one(self):
+        # sum_k 1/((k+1)(k+2)) = 1/2 and the prefactor is 2
+        assert abs(theory._drift_square_weight(1.0) - 1.0) < 1e-12
+
 
 class TestExactMoments:
     def test_first_step_uniform(self):
@@ -320,6 +377,28 @@ class TestExactMoments:
             cov = table.position_cov[n - 1]
             assert np.linalg.eigvalsh(cov).min() > -1e-10
 
+    def test_matches_forward_recursion_on_grid(self):
+        # lambda = -1 at (K=2, theta=1, p=0), -1/2 at p = 1/4, 0 at theta = 0
+        # or p = 1/K, and 1 at theta = p = 1
+        for d in (1, 2, 3):
+            for lazy in (False, True):
+                K = 2 * d + lazy
+                for theta in (0.0, 0.3, 1.0):
+                    for p in (0.0, 0.25, 1.0 / K, 0.9, 1.0):
+                        params = validate_params(d, lazy, p, theta)
+                        for init in first_steps(K):
+                            assert_matches_recursion(params, init, 500)
+
+    # the corners lambda = -1, -1/2, 0 and 1, then two interior points
+    @pytest.mark.parametrize(
+        "d, lazy, p, theta",
+        [(1, False, 0.0, 1.0), (1, False, 0.25, 1.0), (1, False, 0.5, 1.0),
+         (1, False, 1.0, 1.0), (1, False, 0.9, 1.0), (2, True, 0.9, 0.3)],
+    )
+    def test_matches_forward_recursion_long(self, d, lazy, p, theta):
+        params = validate_params(d, lazy, p, theta)
+        assert_matches_recursion(params, first_steps(params.K)[2], 10_000)
+
     def test_mean_growth_approaches_lln(self):
         params = validate_params(1, False, 0.8, 0.3)
         limit = theory.lln_limit(params)[0]
@@ -339,33 +418,37 @@ class TestLimitMoments:
         for d in (1, 2):
             params = validate_params(d, False, 1.0, 1.0)
             lm = limit_moments(params, InitialSpec.uniform())
-            assert lm.converged
-            assert np.allclose(lm.second_moment, np.eye(d) / d, atol=1e-10)
+            assert np.abs(lm.second_moment - np.eye(d) / d).max() < 1e-15
 
     def test_matches_uniform_start_closed_form(self):
         # exact recursion fixed point: 1 / (d (2r-1) Gamma(2r)) on the diagonal
-        for d, p in [(1, 0.9), (2, 0.9), (1, 0.85)]:
-            params = validate_params(d, False, p, 1.0)
-            lm = limit_moments(params, InitialSpec.uniform())
-            closed = uniform_start_limit_second_moment(params)
-            assert lm.converged
-            assert np.abs(lm.second_moment - closed).max() < 1e-3
-            off = lm.second_moment - np.diag(np.diag(lm.second_moment))
-            assert np.abs(off).max() < 1e-6
+        for d in (1, 2):
+            for p in (0.85, 0.9, 0.95):
+                params = validate_params(d, False, p, 1.0)
+                lm = limit_moments(params, InitialSpec.uniform())
+                closed = uniform_start_limit_second_moment(params)
+                assert np.abs(lm.second_moment - closed).max() <= 1e-12 * np.abs(closed).max()
+
+    # a fixed first step makes w = pi - v nonzero, and theta < 1 gives the
+    # B1 term a nonzero pairing; the gap closes like n^(1-2r), a factor
+    # 10^0.6 per decade at r = 0.8
+    @pytest.mark.parametrize(
+        "d, lazy, p, theta, index", [(1, False, 0.9, 1.0, 0), (1, True, 0.95, 0.9, 2)]
+    )
+    def test_finite_n_moments_converge_to_limit(self, d, lazy, p, theta, index):
+        params = validate_params(d, lazy, p, theta)
+        r = params.second_eigenvalue
+        init = InitialSpec.fixed(index)
+        limit = limit_moments(params, init).second_moment
+        table = exact_moments(params, init, 100_000)
+        gaps = []
+        for n in (10_000, 100_000):
+            scale = math.exp(2.0 * (math.lgamma(n) - math.lgamma(n + r)))
+            gaps.append(np.abs(scale * table.position_cov[n - 1] - limit).max() / np.abs(limit).max())
+        assert gaps[1] * 3.0 <= gaps[0]
+        assert gaps[1] < 3e-3
 
     def test_mean_is_zero(self):
         lm = limit_moments(validate_params(1, False, 0.95, 1.0), InitialSpec.uniform())
         assert np.all(lm.mean == 0.0)
 
-
-class TestBiasConstants:
-    def test_bias_law_is_distribution(self):
-        params = validate_params(2, True, 0.7, 0.4)
-        law = theory.bias_law(params)
-        assert law[0] == 0.7 and abs(law.sum() - 1.0) < 1e-14
-
-    def test_bias_moment_matrix_shape(self):
-        params = validate_params(3, False, 0.4, 0.4)
-        mat = theory.bias_moment_matrix(params)
-        assert mat.shape == (3, 3)
-        assert mat[0, 0] == 0.4
