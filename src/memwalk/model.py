@@ -100,15 +100,18 @@ def direction_matrix(params: ModelParams) -> np.ndarray:
 
 @dataclass
 class WalkState:
-    """State after n steps: per-direction counts and the position.
-
-    counts sums to n; position is the signed pairing of counts
-    (counts[0] - counts[1], counts[2] - counts[3], ...).
-    """
+    """State after n steps: the per-direction counts, which sum to n."""
 
     n: int
     counts: np.ndarray
-    position: np.ndarray
+
+    @property
+    def position(self) -> np.ndarray:
+        """Signed pairing of the counts (counts[0] - counts[1], ...)."""
+        from .urn import counts_to_position
+
+        K = self.counts.shape[-1]
+        return counts_to_position(self.counts, K // 2, K % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,7 @@ def initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generato
     idx = min(idx, params.K - 1)
     counts = np.zeros(params.K, dtype=np.int64)
     counts[idx] = 1
-    return WalkState(n=1, counts=counts, position=direction_to_vector(params, idx))
+    return WalkState(n=1, counts=counts)
 
 
 def _uniform_other(idx: int, K: int, rng: np.random.Generator) -> int:
@@ -221,11 +224,7 @@ def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> Wal
         idx = 0 if rng.random() < params.p else 1 + int(rng.integers(K - 1))
     counts = state.counts.copy()
     counts[idx] += 1
-    return WalkState(
-        n=state.n + 1,
-        counts=counts,
-        position=state.position + direction_to_vector(params, idx),
-    )
+    return WalkState(n=state.n + 1, counts=counts)
 
 
 def simulate(
@@ -252,9 +251,9 @@ def simulate(
     records = []
     state = initial_step(params, init, rng)
     if state.n in mark_set:
-        records.append((state.n, state.position.copy()))
+        records.append((state.n, state.position))
     for _ in range(n_steps - 1):
         state = step(params, state, rng)
         if state.n in mark_set:
-            records.append((state.n, state.position.copy()))
+            records.append((state.n, state.position))
     return records

@@ -538,7 +538,8 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> Verificat
 
 
 def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
-    marks = budget.checkpoints or [int(v) for v in np.geomspace(100, budget.n_steps, 7)]
+    first = max(1, min(100, budget.n_steps // 100))
+    marks = budget.checkpoints or [int(v) for v in np.geomspace(first, budget.n_steps, 7)]
     marks = sorted(set(marks))
     summary = run_ensemble(
         params, budget.init, max(marks), marks, budget.replicas, budget.seed, workers=budget.workers

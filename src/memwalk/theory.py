@@ -263,37 +263,43 @@ def martingale_coefficients(params: ModelParams, n: int) -> np.ndarray:
     return np.exp(gammaln(r + 1.0) + _log_gamma_ratio(k, r))
 
 
-def _ratio_series(factors: np.ndarray, tail_scale: float, s: float, c: float) -> float:
+#: Terms of the series below that are summed one by one. With the
+#: Hurwitz-zeta tail beyond them each series is exact to 1e-12.
+_LIMIT_HEAD = 20_000
+
+
+def _ratio_series(factors: np.ndarray, tail_scale: float, s: float, coeffs: tuple[float, ...]) -> float:
     """sum_{k>=1} t_k with t_k = factors[0] * ... * factors[k-1].
 
     The head, k <= M = len(factors), is summed term by term; ``factors``
     is overwritten with it. Beyond it the terms follow
-    tail_scale * k^(-s) (1 + c/k + O(k^-2)), and that tail is evaluated
-    through Hurwitz zeta functions.
+    tail_scale * k^(-s) (1 + coeffs[0]/k + coeffs[1]/k^2 + ...), and that
+    tail is evaluated through Hurwitz zeta functions.
     """
     cutoff = len(factors)
     head = float(np.cumprod(factors, out=factors).sum())
-    tail = tail_scale * (zeta(s, cutoff + 1.0) + c * zeta(s + 1.0, cutoff + 1.0))
-    return head + float(tail)
+    tail = zeta(s, cutoff + 1.0) + sum(c * zeta(s + i, cutoff + 1.0) for i, c in enumerate(coeffs, 1))
+    return head + float(tail_scale * tail)
 
 
 def _square_series(rate: float) -> float:
     """sum_{k>=1} (Gamma(rate+1) Gamma(k) / Gamma(rate+k))^2 for 2*rate > 1.
 
-    Half a million head terms, then the tail of the expansion
-    a_k^2 = Gamma(rate+1)^2 k^(-2 rate) (1 + rate(1-rate)/k + O(k^-2)),
-    whose truncation error at the cutoff is below 1e-10 for every
-    admissible rate. A fixed-term truncation would need ~1e10 terms near
-    rate = 1 for the same tolerance.
+    ``_LIMIT_HEAD`` head terms, then the tail of the expansion
+    a_k^2 = Gamma(rate+1)^2 k^(-2 rate) (1 + c1/k + c2/k^2 + O(k^-3)) with
+    c1 = rate(1-rate) and c2 = rate(rate-1)(2 rate-1)/6 + c1^2/2. A
+    fixed-term truncation would need ~1e10 terms near rate = 1 for a
+    1e-10 tolerance.
     """
     if 2.0 * rate <= 1.0:
         raise RegimeMismatchError("squared weight series diverges unless 2*rate > 1")
-    cutoff = 500_000
-    k = np.arange(1, cutoff, dtype=float)
-    factors = np.ones(cutoff)
+    k = np.arange(1, _LIMIT_HEAD, dtype=float)
+    factors = np.ones(_LIMIT_HEAD)
     factors[1:] = (k / (k + rate)) ** 2
     g2 = math.exp(2.0 * math.lgamma(rate + 1.0))
-    return _ratio_series(factors, g2, 2.0 * rate, rate * (1.0 - rate))
+    c1 = rate * (1.0 - rate)
+    c2 = rate * (rate - 1.0) * (2.0 * rate - 1.0) / 6.0 + 0.5 * c1 * c1
+    return _ratio_series(factors, g2, 2.0 * rate, (c1, c2))
 
 
 def martingale_square_series(params: ModelParams) -> float:
@@ -369,11 +375,6 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
     )
 
 
-#: Terms of the series in limit_moments that are summed one by one. With
-#: the Hurwitz-zeta tail beyond them the series is exact to 1e-12.
-_LIMIT_HEAD = 20_000
-
-
 def _drift_square_weight(r: float) -> float:
     """T2 = r^2 Gamma(1+2r)/Gamma(1+r)^2 sum_{k>=1} Gamma(k+r)^2 / (Gamma(k+1) Gamma(k+1+2r)).
 
@@ -385,7 +386,7 @@ def _drift_square_weight(r: float) -> float:
     factors = np.ones(_LIMIT_HEAD)
     factors[1:] = (k + r) ** 2 / ((k + 1.0) * (k + 1.0 + 2.0 * r))
     inv_first = math.exp(math.lgamma(2.0 + 2.0 * r) - 2.0 * math.lgamma(1.0 + r))
-    return r * r / (1.0 + 2.0 * r) * _ratio_series(factors, inv_first, 2.0, -r * (r + 2.0))
+    return r * r / (1.0 + 2.0 * r) * _ratio_series(factors, inv_first, 2.0, (-r * (r + 2.0),))
 
 
 @dataclass

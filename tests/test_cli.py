@@ -144,6 +144,15 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["passed"] is False
 
+    def test_superdiffusive_small_budget(self, capsys):
+        # the default checkpoints span two decades below 1e4 steps too
+        code, out, _ = run_cli(
+            capsys, "verify", "--tag", "superdiffusive", "--d", "1", "--theta", "1",
+            "--p", "0.9", "--steps", "2000", "--reps", "200", "--seed", "3",
+        )
+        assert code in (0, 2)
+        jsonschema.validate(json.loads(out), load_schema("verify"))
+
     def test_missing_tag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--d", "1", "--theta", "1", "--p", "0.6")
         assert code == 1

@@ -92,19 +92,19 @@ class TestConditionalLaw:
 
     def test_hand_computed_example(self):
         params = validate_params(1, False, 0.75, 1.0)
-        state = WalkState(n=4, counts=np.array([3, 1]), position=np.array([2]))
+        state = WalkState(n=4, counts=np.array([3, 1]))
         law = conditional_law(params, state)
         assert np.allclose(law, [0.625, 0.375], atol=1e-15)
 
     def test_two_branch_mixture_example(self):
         # 0.5 * memory law (0.4, 0.4, 0.2) + 0.5 * bias law (0.6, 0.2, 0.2)
         params = validate_params(1, True, 0.6, 0.5)
-        state = WalkState(n=2, counts=np.array([1, 1, 0]), position=np.array([0]))
+        state = WalkState(n=2, counts=np.array([1, 1, 0]))
         assert np.allclose(conditional_law(params, state), [0.5, 0.3, 0.2], atol=1e-15)
 
     def test_undefined_before_first_step(self):
         params = validate_params(1, False, 0.5, 0.5)
-        state = WalkState(n=0, counts=np.zeros(2, dtype=np.int64), position=np.zeros(1, dtype=np.int64))
+        state = WalkState(n=0, counts=np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
             conditional_law(params, state)
 
@@ -176,7 +176,7 @@ class TestInitialStep:
 class TestStep:
     def test_fully_persistent(self):
         params = validate_params(1, False, 1.0, 1.0)
-        state = WalkState(n=3, counts=np.array([3, 0]), position=np.array([3]))
+        state = WalkState(n=3, counts=np.array([3, 0]))
         rng = np.random.default_rng(5)
         for _ in range(20):
             state = step(params, state, rng)
@@ -201,11 +201,7 @@ class TestStep:
     def test_one_step_frequencies_match_law(self, d, lazy, p, theta, counts):
         params = validate_params(d, lazy, p, theta)
         counts = np.array(counts, dtype=np.int64)
-        state = WalkState(
-            n=int(counts.sum()),
-            counts=counts,
-            position=urn.counts_to_position(counts, d, lazy),
-        )
+        state = WalkState(n=int(counts.sum()), counts=counts)
         law = conditional_law(params, state)
         rng = np.random.default_rng(12345)
         freq = np.zeros(params.K, dtype=int)

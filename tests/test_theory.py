@@ -329,6 +329,20 @@ class TestSquareSeries:
         values = [theory._square_series(r) for r in (0.55, 0.6, 0.7, 0.8, 0.9, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "r,value",
+        [
+            # 3F2(1, 1, 1; r+1, r+1; 1) to 20 significant digits
+            (0.51, 40.098329979383805906),
+            (0.6, 4.7620347307602174424),
+            (0.75, 2.4159131244307828411),
+            (0.9, 1.8358404413523787143),
+            (1.0, 1.6449340668482264365),
+        ],
+    )
+    def test_matches_hypergeometric_value(self, r, value):
+        assert abs(theory._square_series(r) / value - 1.0) < 1e-13
+
     def test_divergent_rejected(self):
         with pytest.raises(RegimeMismatchError):
             martingale_square_series(validate_params(1, False, 0.6, 1.0))
