@@ -27,6 +27,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Upper bound on buffered uniforms per block (8M doubles = 64 MB).
 _BUFFER_BUDGET = 8_000_000
+#: Replicas drawn together before their uniforms are transposed into the buffer.
+_REFILL_BLOCK = 128
 
 
 def replica_stream_seed(seed: int, replica: int) -> int:
@@ -107,9 +109,19 @@ def _simulate_block(
     """Lockstep-vectorized walk of replicas [lo, hi) with private streams.
 
     Each replica consumes exactly one uniform per step from its own
-    generator; draws are buffered in chunks to amortize generator calls.
-    The move is sampled by inverting the exact one-step law, which equals
-    the two-branch law of the scalar sampler.
+    generator; draws are buffered in chunks to amortize generator calls,
+    step-major so that one step reads one contiguous row. A refill draws
+    the chunks of up to _REFILL_BLOCK replicas into contiguous rows and
+    transposes them into the buffer, which misses the cache far less
+    than writing each replica's column in turn.
+
+    The move is sampled by inverting the exact one-step law, which
+    equals the two-branch law of the scalar sampler: the move is the
+    number of partial sums of base + (lam2/n) N below u, capped at K - 1.
+
+    Counts are K float64 rows, exact below 2^53, updated in place; the
+    partial sums are formed in the same order as a cumsum of the law, so
+    every move is decided by the same floating-point operations.
     """
     nrep = hi - lo
     K, d = params.K, params.d
@@ -118,55 +130,75 @@ def _simulate_block(
         for i in range(lo, hi)
     ]
     chunk = max(64, min(n_steps, _BUFFER_BUDGET // max(nrep, 1), 4096))
-    buf = np.empty((nrep, chunk))
+    buf = np.empty((chunk, nrep))
+    block = np.empty((min(nrep, _REFILL_BLOCK), chunk))
     col = chunk  # forces an initial refill
     remaining = n_steps
 
-    def next_column():
+    def next_row():
         nonlocal col, remaining, chunk
         if col >= chunk:
             chunk = min(chunk, remaining)
-            for r in range(nrep):
-                buf[r, :chunk] = gens[r].random(chunk)
+            for r0 in range(0, nrep, _REFILL_BLOCK):
+                part = block[: min(_REFILL_BLOCK, nrep - r0), :chunk]
+                for r, row in enumerate(part, r0):
+                    gens[r].random(out=row)
+                buf[:chunk, r0 : r0 + len(part)] = part.T
             col = 0
-        u = buf[:, col]
+        u = buf[col]
         col += 1
         remaining -= 1
         return u
 
-    counts = np.zeros((nrep, K), dtype=np.int64)
-    rows = np.arange(nrep)
-    base = base_step_rates(params)
+    counts = np.zeros((K, nrep))
+    flat, rows = counts.reshape(-1), list(counts)
+    offs = np.arange(nrep)
+    base = base_step_rates(params).tolist()
     lam2 = params.second_eigenvalue
+    acc, tmp = np.empty(nrep), np.empty(nrep)
+    hit = np.empty(nrep, dtype=bool)
+    idx = np.empty(nrep, dtype=np.intp)
 
     sum_x = np.zeros((len(marks), d), dtype=np.int64)
     sum_xx = np.zeros((len(marks), d, d), dtype=np.int64)
     samples: list[np.ndarray] | None = [None] * len(marks) if retain else None
-    mark_at = {n: i for i, n in enumerate(marks)}
+    pending = iter(enumerate(marks))
+    ci, next_mark = next(pending, (None, None))
 
-    def record(n: int) -> None:
-        ci = mark_at.get(n)
-        if ci is None:
-            return
-        pos = counts[:, 0 : 2 * d : 2] - counts[:, 1 : 2 * d : 2]
+    def record() -> None:
+        nonlocal ci, next_mark
+        pos = (counts[0 : 2 * d : 2] - counts[1 : 2 * d : 2]).astype(np.int64).T
         sum_x[ci] += pos.sum(axis=0)
         sum_xx[ci] += pos.T @ pos
         if samples is not None:
             samples[ci] = pos.copy()
+        ci, next_mark = next(pending, (None, None))
 
     # first step from the initial distribution
     cum0 = np.cumsum(init.distribution(params))
-    idx = np.minimum(np.searchsorted(cum0, next_column(), side="right"), K - 1)
-    counts[rows, idx] = 1
-    record(1)
+    first = np.minimum(np.searchsorted(cum0, next_row(), side="right"), K - 1)
+    counts[first, offs] = 1
+    if next_mark == 1:
+        record()
 
     for n in range(1, n_steps):
-        law = base[None, :] + (lam2 / n) * counts
-        np.cumsum(law, axis=1, out=law)
-        u = next_column()
-        idx = np.minimum((law < u[:, None]).sum(axis=1), K - 1)
-        counts[rows, idx] += 1
-        record(n + 1)
+        c = lam2 / n
+        u = next_row()
+        np.multiply(rows[0], c, out=acc)
+        np.add(acc, base[0], out=acc)
+        np.less(acc, u, out=idx)
+        for k in range(1, K):
+            np.multiply(rows[k], c, out=tmp)
+            np.add(tmp, base[k], out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.less(acc, u, out=hit)
+            np.add(idx, hit, out=idx)
+        np.minimum(idx, K - 1, out=idx)
+        np.multiply(idx, nrep, out=idx)
+        np.add(idx, offs, out=idx)
+        flat[idx] += 1
+        if next_mark == n + 1:
+            record()
 
     return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
 
@@ -573,7 +605,7 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> VerificationRe
     tol = budget.tolerance_rel or 0.05
 
     # centered mean: E(S_n) from the exact recursion, scaled like L
-    exact_mean = theory.exact_moments(params, budget.init, n).mean_position[-1]
+    exact_mean = theory._mean_position(params, budget.init, n)
     mean_l = (cp.mean - exact_mean) / float(n) ** r
     se_l = cp.stderr / float(n) ** r
     with np.errstate(divide="ignore", invalid="ignore"):

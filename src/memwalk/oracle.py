@@ -91,12 +91,14 @@ def enumerate_paths(params: ModelParams, init: InitialSpec, n: int) -> PathDistr
     """Exact probability of every length-n step sequence."""
     K = params.K
     _check_size(n, K**n)
-    unit = np.eye(K, dtype=np.int64)
+    # K**n <= MAX_PATHS bounds n by 23, so the prefix counts fit in int8
+    unit = np.eye(K, dtype=np.int8)
     counts, probs = unit, init.distribution(params)
     for m in range(1, n):
+        if m > 1:
+            counts = (counts[:, None, :] + unit).reshape(-1, K)
         law = conditional_law(params, WalkState(n=m, counts=counts))
         probs = (probs[:, None] * law).ravel()
-        counts = (counts[:, None, :] + unit).reshape(-1, K)
     return PathDistribution(n=n, K=K, probs=probs)
 
 

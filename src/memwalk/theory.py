@@ -312,6 +312,10 @@ def martingale_square_series(params: ModelParams) -> float:
     return _square_series(params.second_eigenvalue)
 
 
+#: Ceiling on the memory of the tables exact_moments builds (1 GiB).
+MAX_TABLE_BYTES = 1 << 30
+
+
 @dataclass
 class MomentTable:
     """Exact moments for n = 1..N, projected to position space.
@@ -345,6 +349,14 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    K, d = params.K, params.d
+    # the returned tables, the coefficient table and its raw-moment copy
+    need = 8 * n_max * (15 + K + K * K + d + d * d)
+    if need > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"exact_moments to n_max = {n_max} at K = {K} needs {need / 2**20:.0f} MiB,"
+            f" above the {MAX_TABLE_BYTES >> 20} MiB limit"
+        )
     lam = params.second_eigenvalue
     b = base_step_rates(params)
     pi = init.distribution(params)
@@ -373,6 +385,21 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
         mean_position=mean_counts @ proj.T,
         position_cov=np.tensordot(cov, proj @ basis @ proj.T, axes=1),
     )
+
+
+def _mean_position(params: ModelParams, init: InitialSpec, n: int) -> np.ndarray:
+    """E S_n at one n: the last row of exact_moments' mean_position, bit for bit.
+
+    Runs only the (c_n, e_n) pair of the mean m_n = c_n pi + e_n b, with
+    the same operations in the same order, and builds no table.
+    """
+    lam = params.second_eigenvalue
+    c, e = 1.0, 0.0
+    for m in range(1, n):
+        x, y = 1.0 + lam * e / m, lam * c / m
+        c, e = c + y, e + x
+    mean_counts = c * init.distribution(params) + e * base_step_rates(params)
+    return mean_counts @ urn.pairing_matrix(params.d, params.lazy).T
 
 
 def _drift_square_weight(r: float) -> float:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import chisquare_pvalue
-from memwalk import montecarlo, oracle, theory
-from memwalk.model import InitialSpec, validate_params
+from memwalk import montecarlo, oracle, theory, urn
+from memwalk.model import InitialSpec, ModelParams, base_step_rates, validate_params
 from memwalk.montecarlo import (
+    _BUFFER_BUDGET,
     VerifyBudget,
+    _BlockSums,
     _simulate_block,
     cross_time_covariance,
     default_budget,
@@ -18,6 +20,147 @@ from memwalk.montecarlo import (
 from memwalk.theory import RegimeMismatchError
 
 UNIFORM = InitialSpec.uniform()
+
+
+def reference_block(
+    params: ModelParams,
+    init: InitialSpec,
+    n_steps: int,
+    marks: list[int],
+    seed: int,
+    lo: int,
+    hi: int,
+    retain: bool,
+) -> _BlockSums:
+    """Reference: the replica-major lockstep kernel with an (R, K) law per step.
+
+    Each step builds the law base + (lam2/n) * counts, takes its cumsum and
+    counts the partial sums below u. _simulate_block must give the same
+    sums and samples bit for bit.
+    """
+    nrep = hi - lo
+    K, d = params.K, params.d
+    gens = [
+        np.random.Generator(np.random.PCG64(replica_stream_seed(seed, i)))
+        for i in range(lo, hi)
+    ]
+    chunk = max(64, min(n_steps, _BUFFER_BUDGET // max(nrep, 1), 4096))
+    buf = np.empty((nrep, chunk))
+    col = chunk  # forces an initial refill
+    remaining = n_steps
+
+    def next_column():
+        nonlocal col, remaining, chunk
+        if col >= chunk:
+            chunk = min(chunk, remaining)
+            for r in range(nrep):
+                buf[r, :chunk] = gens[r].random(chunk)
+            col = 0
+        u = buf[:, col]
+        col += 1
+        remaining -= 1
+        return u
+
+    counts = np.zeros((nrep, K), dtype=np.int64)
+    rows = np.arange(nrep)
+    base = base_step_rates(params)
+    lam2 = params.second_eigenvalue
+
+    sum_x = np.zeros((len(marks), d), dtype=np.int64)
+    sum_xx = np.zeros((len(marks), d, d), dtype=np.int64)
+    samples: list[np.ndarray] | None = [None] * len(marks) if retain else None
+    mark_at = {n: i for i, n in enumerate(marks)}
+
+    def record(n: int) -> None:
+        ci = mark_at.get(n)
+        if ci is None:
+            return
+        pos = counts[:, 0 : 2 * d : 2] - counts[:, 1 : 2 * d : 2]
+        sum_x[ci] += pos.sum(axis=0)
+        sum_xx[ci] += pos.T @ pos
+        if samples is not None:
+            samples[ci] = pos.copy()
+
+    # first step from the initial distribution
+    cum0 = np.cumsum(init.distribution(params))
+    idx = np.minimum(np.searchsorted(cum0, next_column(), side="right"), K - 1)
+    counts[rows, idx] = 1
+    record(1)
+
+    for n in range(1, n_steps):
+        law = base[None, :] + (lam2 / n) * counts
+        np.cumsum(law, axis=1, out=law)
+        u = next_column()
+        idx = np.minimum((law < u[:, None]).sum(axis=1), K - 1)
+        counts[rows, idx] += 1
+        record(n + 1)
+
+    return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
+
+
+def assert_same_block(params, init, n_steps, marks, seed, lo, hi):
+    got = _simulate_block(params, init, n_steps, marks, seed, lo, hi, True)
+    want = reference_block(params, init, n_steps, marks, seed, lo, hi, True)
+    assert got.replicas == want.replicas
+    assert np.array_equal(got.sum_x, want.sum_x), (params, init)
+    assert np.array_equal(got.sum_xx, want.sum_xx), (params, init)
+    for a, b in zip(got.samples, want.samples):
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+        assert np.array_equal(a, b), (params, init)
+
+
+def exact_position_law(params, init, n):
+    """Law of the first coordinate of S_n over -n..n from the exact count law."""
+    law = oracle.walk_count_law(params, init, n)
+    pos = urn.counts_to_position(np.array(list(law)), params.d, params.lazy)[:, 0]
+    return np.bincount(pos + n, weights=np.array(list(law.values())), minlength=2 * n + 1)
+
+
+class TestKernelReference:
+    def test_matches_reference_on_grid(self):
+        # K in 2..5 x theta x p x three starts; odd replica range, marks at 1 and n
+        for K in (2, 3, 4, 5):
+            custom = InitialSpec.custom(np.random.default_rng(K).dirichlet(np.ones(K)))
+            for theta in (0.0, 0.3, 1.0):
+                for p in (0.0, 0.2, 1.0 / K, 0.9, 1.0):
+                    params = validate_params(K // 2, K % 2 == 1, p, theta)
+                    for init in (UNIFORM, InitialSpec.fixed(K - 1), custom):
+                        assert_same_block(params, init, 300, [1, 2, 151, 300], 21, 5, 11)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_matches_reference_across_refill(self, K):
+        # chunk is 4096 steps here, so the buffer is refilled at step 4097
+        params = validate_params(K // 2, K % 2 == 1, 0.9, 0.7)
+        assert_same_block(params, UNIFORM, 4_200, [1, 4_096, 4_097, 4_200], 8, 3, 5)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_matches_reference_over_refill_blocks(self, K):
+        # two full refill blocks and a partial third
+        hi = 3 + 2 * montecarlo._REFILL_BLOCK + 41
+        params = validate_params(K // 2, K % 2 == 1, 0.2, 0.3)
+        assert_same_block(params, InitialSpec.fixed(K - 1), 200, [1, 199, 200], 13, 3, hi)
+
+
+class TestEngineAgainstExactLaw:
+    @pytest.mark.parametrize(
+        "d, lazy, p, theta, n, replicas",
+        [(1, False, 0.9, 1.0, 1_000, 20_000), (1, True, 0.5, 0.7, 100, 20_000)],
+    )
+    def test_histogram_of_position(self, d, lazy, p, theta, n, replicas):
+        params = validate_params(d, lazy, p, theta)
+        summary = run_ensemble(params, UNIFORM, n, [n], replicas, seed=4, retain_samples=True)
+        freq = np.bincount(summary.samples[n][:, 0] + n, minlength=2 * n + 1)
+        assert chisquare_pvalue(freq, exact_position_law(params, UNIFORM, n)) > 1e-3
+
+    def test_zero_probability_moves_never_taken(self):
+        # at theta = p = 1 the walk repeats its first step: S_n = +-n only
+        params = validate_params(1, False, 1.0, 1.0)
+        n = 1_000
+        summary = run_ensemble(params, UNIFORM, n, [n], 2_000, seed=6, retain_samples=True)
+        freq = np.bincount(summary.samples[n][:, 0] + n, minlength=2 * n + 1)
+        law = exact_position_law(params, UNIFORM, n)
+        assert np.count_nonzero(law) == 2 and law[0] == law[-1] == pytest.approx(0.5, abs=1e-12)
+        assert chisquare_pvalue(freq, law) > 1e-3
 
 
 class TestReplicaStreams:

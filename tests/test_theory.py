@@ -421,6 +421,19 @@ class TestExactMoments:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
 
+    @pytest.mark.parametrize("d, lazy", [(1, False), (1, True), (2, False), (2, True)])
+    def test_mean_position_is_last_table_row(self, d, lazy):
+        params = validate_params(d, lazy, 0.9, 0.8)
+        for init in (InitialSpec.uniform(), InitialSpec.fixed(0)):
+            for n in (1, 2, 2_000, 100_000):
+                want = exact_moments(params, init, n).mean_position[-1]
+                assert np.array_equal(theory._mean_position(params, init, n), want)
+
+    def test_oversized_tables_rejected_before_allocation(self):
+        params = validate_params(2, True, 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"n_max = 1000000000 at K = 5 needs \d+ MiB"):
+            exact_moments(params, InitialSpec.uniform(), 10**9)
+
 
 class TestLimitMoments:
     def test_regime_gate(self):
