@@ -2,6 +2,7 @@
 
 The walker lives on the integer lattice Z^d and chooses among K moves: the
 2d unit steps +/- e_i, plus an optional "stay put" move when K = 2d + 1.
+Moves are indexed (+e_1, -e_1, +e_2, -e_2, ..., +e_d, -e_d), stay-put last.
 Given the first step, every later step flips a coin with success
 probability ``theta``:
 
@@ -74,28 +75,6 @@ def validate_params(d: int, lazy: bool, p: float, theta: float) -> ModelParams:
     Raises ValueError for d < 1 or p, theta outside [0, 1].
     """
     return ModelParams(d=d, lazy=bool(lazy), p=float(p), theta=float(theta))
-
-
-def direction_to_vector(params: ModelParams, idx: int) -> np.ndarray:
-    """Unit displacement of move ``idx``.
-
-    Moves are ordered (+e_1, -e_1, +e_2, -e_2, ..., +e_d, -e_d) with the
-    zero move last when lazy. Exactly one coordinate of magnitude one,
-    except the lazy slot which maps to the zero vector.
-    """
-    K = params.K
-    if not 0 <= idx < K:
-        raise ValueError(f"direction index {idx} out of range [0, {K})")
-    vec = np.zeros(params.d, dtype=np.int64)
-    if params.lazy and idx == K - 1:
-        return vec
-    vec[idx // 2] = 1 if idx % 2 == 0 else -1
-    return vec
-
-
-def direction_matrix(params: ModelParams) -> np.ndarray:
-    """Stack of all K displacement vectors, shape (K, d)."""
-    return np.stack([direction_to_vector(params, x) for x in range(params.K)])
 
 
 @dataclass

@@ -3,20 +3,25 @@
 Replicas are independent walks. Replica ``i`` of a run seeded with ``s``
 draws its uniforms from a dedicated stream: PCG64 seeded with
 ``splitmix64(s + (i + 1) * 0x9E3779B97F4A7C15)``, one uniform per step,
-consumed in step order. This derivation is part of the output contract:
-results are bit-identical for a fixed (seed, params, replicas,
-checkpoints) no matter how replicas are partitioned across workers,
-because moment accumulators are exact integer sums.
+consumed in step order. Its PCG64 seed words are
+``SeedSequence(replica_stream_seed(s, i)).generate_state(4, uint64)``,
+computed for a whole block of replicas at once; the draws are those of
+``PCG64(replica_stream_seed(s, i))``. This derivation is part of the
+output contract: results are bit-identical for a fixed (seed, params,
+replicas, checkpoints) no matter how replicas are partitioned across
+workers, because moment accumulators are exact integer sums.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import theory
 from .model import InitialSpec, ModelParams, base_step_rates
@@ -37,6 +42,46 @@ def replica_stream_seed(seed: int, replica: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """PCG64 seed words of replicas [lo, hi) as one (hi - lo, 4) uint64 array.
+
+    Row i is ``SeedSequence(replica_stream_seed(seed, lo + i)).generate_state(4,
+    np.uint64)``, by numpy's documented hash (pool size 4) in uint32. A stream
+    seed below 2^32 is one entropy word, which hashes like a zero high word.
+    """
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN + (int(seed) & _MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    pool = np.zeros((4, hi - lo), dtype=np.uint32)
+    pool[0], pool[1] = z & 0xFFFFFFFF, z >> 32
+
+    def hashmix(v, hash_const):
+        v = v ^ hash_const[0]
+        hash_const[0] = (hash_const[0] * hash_const[1]) & 0xFFFFFFFF
+        v = v * hash_const[0]
+        return v ^ (v >> 16)
+
+    mix_const = [0x43B0D7E5, 0x931E8875]  # INIT_A, MULT_A
+    pool = [hashmix(v, mix_const) for v in pool]
+    for src, dst in itertools.permutations(range(4), 2):
+        v = pool[dst] * 0xCA01F9DD - hashmix(pool[src], mix_const) * 0x4973F715  # MIX_MULT_L, _R
+        pool[dst] = v ^ (v >> 16)
+    out_const = [0x8B51F9DD, 0x58F38DED]  # INIT_B, MULT_B
+    state = np.stack([hashmix(pool[i % 4], out_const) for i in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Seed sequence that hands PCG64 precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 @dataclass
@@ -125,10 +170,7 @@ def _simulate_block(
     """
     nrep = hi - lo
     K, d = params.K, params.d
-    gens = [
-        np.random.Generator(np.random.PCG64(replica_stream_seed(seed, i)))
-        for i in range(lo, hi)
-    ]
+    gens = [np.random.Generator(np.random.PCG64(_Words(w))) for w in _stream_words(seed, lo, hi)]
     chunk = max(64, min(n_steps, _BUFFER_BUDGET // max(nrep, 1), 4096))
     buf = np.empty((chunk, nrep))
     block = np.empty((min(nrep, _REFILL_BLOCK), chunk))
@@ -151,8 +193,7 @@ def _simulate_block(
         return u
 
     counts = np.zeros((K, nrep))
-    flat, rows = counts.reshape(-1), list(counts)
-    offs = np.arange(nrep)
+    rows = list(counts)
     base = base_step_rates(params).tolist()
     lam2 = params.second_eigenvalue
     acc, tmp = np.empty(nrep), np.empty(nrep)
@@ -177,7 +218,7 @@ def _simulate_block(
     # first step from the initial distribution
     cum0 = np.cumsum(init.distribution(params))
     first = np.minimum(np.searchsorted(cum0, next_row(), side="right"), K - 1)
-    counts[first, offs] = 1
+    counts[first, np.arange(nrep)] = 1
     if next_mark == 1:
         record()
 
@@ -193,10 +234,11 @@ def _simulate_block(
             np.add(acc, tmp, out=acc)
             np.less(acc, u, out=hit)
             np.add(idx, hit, out=idx)
-        np.minimum(idx, K - 1, out=idx)
-        np.multiply(idx, nrep, out=idx)
-        np.add(idx, offs, out=idx)
-        flat[idx] += 1
+        for k in range(K - 1):
+            np.equal(idx, k, out=hit)
+            np.add(rows[k], hit, out=rows[k])
+        np.greater_equal(idx, K - 1, out=hit)
+        np.add(rows[-1], hit, out=rows[-1])
         if next_mark == n + 1:
             record()
 
@@ -255,15 +297,8 @@ def _finalize(
     for ci, n in enumerate(marks):
         mean = sums.sum_x[ci] / R
         cov = (sums.sum_xx[ci] - R * np.outer(mean, mean)) / (R - 1)
-        stats.append(
-            CheckpointStats(
-                n=n,
-                replicas=R,
-                mean=mean,
-                cov=cov,
-                stderr=np.sqrt(np.maximum(np.diag(cov), 0.0) / R),
-            )
-        )
+        stderr = np.sqrt(np.maximum(np.diag(cov), 0.0) / R)
+        stats.append(CheckpointStats(n=n, replicas=R, mean=mean, cov=cov, stderr=stderr))
     samples = {}
     if sums.samples is not None:
         samples = {n: sums.samples[ci] for ci, n in enumerate(marks)}

@@ -96,19 +96,3 @@ def counts_to_position(counts, d: int, lazy: bool) -> np.ndarray:
         raise ValueError(f"expected {K} counts, got {counts.shape[-1]}")
     return counts[..., 0 : 2 * d : 2] - counts[..., 1 : 2 * d : 2]
 
-
-def second_moment_matrices(params: ModelParams) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-color second moments B_j = E[xi_j xi_j^T] and their mixture B.
-
-    Each xi_j is a canonical basis vector, so B_j is diagonal with the
-    replacement probabilities on the diagonal. B is the mixture of the
-    B_j weighted by the principal right eigenvector of the mean
-    replacement matrix; it equals
-    diag(p(K-1) + theta(1-Kp), 1-p, ..., 1-p) / (K-1 + theta(1-Kp)).
-    """
-    from .theory import spectral_decomposition
-
-    b_list = [np.diag(replacement_distribution(params, j)) for j in range(params.K)]
-    v1 = spectral_decomposition(params).right[0]
-    mixed = sum(w * bj for w, bj in zip(v1, b_list))
-    return b_list, mixed

@@ -11,8 +11,6 @@ from memwalk.model import (
     WalkState,
     base_step_rates,
     conditional_law,
-    direction_matrix,
-    direction_to_vector,
     initial_step,
     simulate,
     step,
@@ -50,28 +48,6 @@ class TestValidateParams:
             for p in np.linspace(0, 1, 7):
                 params = validate_params(d, lazy, p, 0.5)
                 assert -1.0 / (K - 1) - 1e-15 <= params.memory_gain <= 1.0 + 1e-15
-
-
-class TestDirections:
-    def test_unit_vectors(self):
-        params = validate_params(3, False, 0.5, 0.5)
-        for idx in range(params.K):
-            vec = direction_to_vector(params, idx)
-            assert np.abs(vec).sum() == 1
-
-    def test_lazy_slot_is_zero(self):
-        params = validate_params(2, True, 0.5, 0.5)
-        assert np.all(direction_to_vector(params, 4) == 0)
-
-    def test_pairing_order(self):
-        params = validate_params(2, False, 0.5, 0.5)
-        assert np.array_equal(direction_to_vector(params, 0), [1, 0])
-        assert np.array_equal(direction_to_vector(params, 1), [-1, 0])
-        assert np.array_equal(direction_to_vector(params, 3), [0, -1])
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            direction_to_vector(validate_params(1, False, 0.5, 0.5), 2)
 
 
 class TestConditionalLaw:
@@ -134,7 +110,7 @@ class TestConditionalLaw:
             params = validate_params(d, lazy, rng.uniform(), rng.uniform())
             state = random_state(params, int(rng.integers(1, 40)), rng)
             law = conditional_law(params, state)
-            drift = direction_matrix(params).T.astype(float) @ law
+            drift = urn.pairing_matrix(params.d, params.lazy) @ law
             expected = (params.second_eigenvalue / state.n) * state.position.astype(float)
             expected[0] += (1.0 - params.theta) * params.memory_gain
             assert np.allclose(drift, expected, atol=1e-12)

@@ -9,6 +9,8 @@ from memwalk.montecarlo import (
     VerifyBudget,
     _BlockSums,
     _simulate_block,
+    _stream_words,
+    _Words,
     cross_time_covariance,
     default_budget,
     gaussianity_check,
@@ -172,6 +174,58 @@ class TestReplicaStreams:
     def test_mixing_depends_on_both_inputs(self):
         assert replica_stream_seed(1, 0) != replica_stream_seed(2, 0)
         assert replica_stream_seed(1, 0) != replica_stream_seed(1, 1)
+
+    def test_known_stream_seeds(self):
+        assert replica_stream_seed(42, 0) == 13679457532755275413
+        assert replica_stream_seed(42, 1) == 2949826092126892291
+
+    def test_known_uniforms_at_default_verify_seed(self):
+        words = _stream_words(20240901, 0, 2)
+        first = [np.random.Generator(np.random.PCG64(_Words(w))).random(4).tolist() for w in words]
+        assert first == [
+            [0.807837133298002, 0.43873429742576864, 0.557458738064979, 0.8513398442560889],
+            [0.5467919946887163, 0.1560149225523545, 0.6273206801694048, 0.8230245195056678],
+        ]
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 20240901, 4_918_207_412_660_312_411,
+         8_815_040_227_369_101_537, 631_945_813_307_745_926, -1, 2**64 + 5],
+    )
+    @pytest.mark.parametrize("lo, hi", [(0, 300), (1_000_003, 1_000_040), (9, 9)])
+    def test_words_match_seed_sequence(self, seed, lo, hi):
+        words = _stream_words(seed, lo, hi)
+        assert words.shape == (hi - lo, 4) and words.dtype == np.uint64
+        for i, row in enumerate(words, lo):
+            want = np.random.SeedSequence(replica_stream_seed(seed, i)).generate_state(4, np.uint64)
+            assert np.array_equal(row, want), (seed, i)
+
+    @pytest.mark.parametrize("target", [0, 1, 5, 2**32 - 1, 2**32, 2**33 + 7, 2**64 - 1])
+    def test_words_at_hand_fed_stream_seed(self, target):
+        # invert SplitMix64 for the master seed whose replica 17 gets stream seed
+        # `target`; a stream seed below 2^32 is one entropy word to SeedSequence
+        mask = (1 << 64) - 1
+
+        def unshift(x, s):
+            y = x
+            for _ in range(64 // s):
+                y = x ^ (y >> s)
+            return y
+
+        z = unshift(target, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+        z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+        z = unshift(z, 30)
+        replica = 17
+        seed = (z - (replica + 1) * 0x9E3779B97F4A7C15) & mask
+        assert replica_stream_seed(seed, replica) == target
+        want = np.random.SeedSequence(target).generate_state(4, np.uint64)
+        assert np.array_equal(_stream_words(seed, replica, replica + 1)[0], want)
+
+    def test_streams_match_seed_sequence_draws(self):
+        for i, row in enumerate(_stream_words(20240901, 3, 200), 3):
+            got = np.random.Generator(np.random.PCG64(_Words(row))).random(64)
+            want = np.random.Generator(np.random.PCG64(replica_stream_seed(20240901, i))).random(64)
+            assert np.array_equal(got, want)
 
 
 class TestRunEnsemble:

@@ -12,7 +12,6 @@ from memwalk.urn import (
     mean_replacement_matrix,
     pairing_matrix,
     replacement_distribution,
-    second_moment_matrices,
     urn_step,
 )
 
@@ -128,6 +127,26 @@ class TestCountsToPosition:
     def test_zeros(self):
         assert np.array_equal(counts_to_position(np.zeros(4, dtype=int), 2, False), [0, 0])
 
+    def test_unit_moves(self):
+        # each single move changes exactly one coordinate by one
+        for idx, counts in enumerate(np.eye(6, dtype=int)):
+            vec = counts_to_position(counts, 3, False)
+            assert np.abs(vec).sum() == 1 and vec[idx // 2] == (1 if idx % 2 == 0 else -1)
+
+    def test_pairing_order(self):
+        # moves are ordered (+e_1, -e_1, +e_2, -e_2, ...)
+        moves = np.eye(4, dtype=int)
+        assert np.array_equal(counts_to_position(moves[0], 2, False), [1, 0])
+        assert np.array_equal(counts_to_position(moves[1], 2, False), [-1, 0])
+        assert np.array_equal(counts_to_position(moves[3], 2, False), [0, -1])
+
+    def test_lazy_slot_is_zero(self):
+        assert np.array_equal(counts_to_position(np.eye(5, dtype=int)[4], 2, True), [0, 0])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            counts_to_position([1, 0, 0], 1, False)
+
     def test_pairing_matrix_agrees(self):
         rng = np.random.default_rng(1)
         for d, lazy in [(1, False), (1, True), (3, False), (2, True)]:
@@ -136,38 +155,6 @@ class TestCountsToPosition:
             assert np.allclose(
                 pairing_matrix(d, lazy) @ counts, counts_to_position(counts, d, lazy)
             )
-
-
-class TestSecondMomentMatrices:
-    def test_diagonal_unit_trace(self):
-        for d, lazy, p, theta in PARAM_GRID:
-            params = validate_params(d, lazy, p, theta)
-            b_list, _ = second_moment_matrices(params)
-            for bj in b_list:
-                assert np.allclose(bj, np.diag(np.diag(bj)), atol=1e-15)
-                assert abs(np.trace(bj) - 1.0) < 1e-14
-
-    def test_memoryless_all_equal(self):
-        params = validate_params(1, True, 0.7, 0.0)
-        b_list, _ = second_moment_matrices(params)
-        for bj in b_list[1:]:
-            assert np.allclose(bj, b_list[0], atol=1e-15)
-
-    def test_mixture_example(self):
-        params = validate_params(1, False, 0.75, 1.0)
-        _, mixture = second_moment_matrices(params)
-        assert np.allclose(mixture, np.diag([0.5, 0.5]), atol=1e-14)
-
-    def test_mixture_closed_form(self):
-        # diag(p(K-1) + theta(1-Kp), 1-p, ..., 1-p) / (K-1 + theta(1-Kp))
-        for d, lazy, p, theta in PARAM_GRID:
-            params = validate_params(d, lazy, p, theta)
-            K = params.K
-            denom = K - 1.0 + theta * (1.0 - K * p)
-            diag = np.full(K, (1.0 - p) / denom)
-            diag[0] = (p * (K - 1.0) + theta * (1.0 - K * p)) / denom
-            _, mixture = second_moment_matrices(params)
-            assert np.allclose(mixture, np.diag(diag), atol=1e-13)
 
 
 class TestWalkEquivalence:
