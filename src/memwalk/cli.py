@@ -221,14 +221,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
     doc = {
         "params": {"d": params.d, "lazy": params.lazy, "K": params.K, "p": params.p, "theta": params.theta},
         "n": cfg.n_steps,
-        "paths": [
-            {"sequence": list(seq), "probability": prob} for seq, prob in dist.sequences()
-        ],
-        "mean_position": marg.mean_position,
-        "position_cov": marg.position_cov,
-        "mean_axis_counts": marg.mean_axis_counts,
+        "paths": [{"sequence": list(seq), "probability": prob} for seq, prob in dist.sequences()],
+        **montecarlo.json_ready(dataclasses.asdict(marg)),  # mean_position, position_cov, mean_axis_counts
     }
-    _write_text(cfg.out, json.dumps(montecarlo.json_ready(doc), indent=2) + "\n")
+    _write_text(cfg.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -15,11 +15,17 @@ probability ``theta``:
 
 The law of the next step depends on the history only through the vector
 of per-direction step counts, so the state kept here is O(K), not O(n).
+
+``initial_step`` and ``step`` are the literal reference sampler of the
+walk: one step at a time, on Python scalars, each branch drawn exactly as
+described above.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -170,18 +176,11 @@ def conditional_law(params: ModelParams, state: WalkState) -> np.ndarray:
 
 def initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generator) -> WalkState:
     """Sample X_1 from ``init`` and return the one-step state."""
-    pi = init.distribution(params)
-    idx = int(np.searchsorted(np.cumsum(pi), rng.random(), side="right"))
-    idx = min(idx, params.K - 1)
+    cdf = list(accumulate(init.distribution(params).tolist()))
+    idx = min(bisect_right(cdf, rng.random()), params.K - 1)
     counts = np.zeros(params.K, dtype=np.int64)
     counts[idx] = 1
     return WalkState(n=1, counts=counts)
-
-
-def _uniform_other(idx: int, K: int, rng: np.random.Generator) -> int:
-    """Uniform draw over the K-1 moves different from ``idx``."""
-    r = int(rng.integers(K - 1))
-    return r + 1 if r >= idx else r
 
 
 def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> WalkState:
@@ -197,8 +196,12 @@ def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> Wal
     K = params.K
     if rng.random() < params.theta:
         t = int(rng.integers(state.n))
-        remembered = int(np.searchsorted(np.cumsum(state.counts), t, side="right"))
-        idx = remembered if rng.random() < params.p else _uniform_other(remembered, K, rng)
+        remembered = bisect_right(list(accumulate(state.counts.tolist())), t)
+        if rng.random() < params.p:
+            idx = remembered
+        else:  # uniform over the K - 1 moves other than the remembered one
+            idx = int(rng.integers(K - 1))
+            idx += idx >= remembered
     else:
         idx = 0 if rng.random() < params.p else 1 + int(rng.integers(K - 1))
     counts = state.counts.copy()

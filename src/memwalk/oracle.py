@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -36,17 +37,9 @@ class PathDistribution:
     K: int
     probs: np.ndarray
 
-    def sequence(self, path_id: int) -> tuple[int, ...]:
-        """Decode a path id into its step sequence."""
-        digits = []
-        for _ in range(self.n):
-            path_id, rem = divmod(path_id, self.K)
-            digits.append(rem)
-        return tuple(reversed(digits))
-
     def sequences(self):
-        for pid in range(len(self.probs)):
-            yield self.sequence(pid), float(self.probs[pid])
+        """(step sequence, probability) of every path, in path-id order."""
+        return zip(product(range(self.K), repeat=self.n), map(float, self.probs))
 
 
 def _check_size(n: int, size: int) -> None:

@@ -10,7 +10,9 @@ pairing of the counts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,10 +36,15 @@ def replacement_distribution(params: ModelParams, j: int) -> np.ndarray:
     (1 - p - theta*(1-Kp))/(K-1), and any other color with probability
     (1-p)/(K-1).
     """
+    return np.array(_replacement_law(params, j))
+
+
+def _replacement_law(params: ModelParams, j: int) -> list[float]:
+    """``replacement_distribution`` as a Python list, for ``urn_step``."""
     K, p, theta = params.K, params.p, params.theta
     if not 0 <= j < K:
         raise ValueError(f"color index {j} out of range [0, {K})")
-    law = np.full(K, (1.0 - p) / (K - 1.0))
+    law = [(1.0 - p) / (K - 1.0)] * K
     if j == 0:
         law[0] = p
     else:
@@ -61,12 +68,10 @@ def urn_step(params: ModelParams, state: UrnState, rng: np.random.Generator) -> 
     """Draw a ball uniformly, add one ball by the replacement law."""
     if state.n < 1:
         raise ValueError("urn is empty")
-    total = int(state.balls.sum())
-    t = int(rng.integers(total))
-    drawn = int(np.searchsorted(np.cumsum(state.balls), t, side="right"))
-    law = replacement_distribution(params, drawn)
-    added = int(np.searchsorted(np.cumsum(law), rng.random(), side="right"))
-    added = min(added, params.K - 1)
+    cum = list(accumulate(state.balls.tolist()))
+    drawn = bisect_right(cum, int(rng.integers(cum[-1])))
+    cdf = list(accumulate(_replacement_law(params, drawn)))
+    added = min(bisect_right(cdf, rng.random()), params.K - 1)
     balls = state.balls.copy()
     balls[added] += 1
     return UrnState(n=state.n + 1, balls=balls)

@@ -29,3 +29,54 @@ def chisquare_pvalue(observed: np.ndarray, probs: np.ndarray) -> float:
     stat = float(((observed - expected) ** 2 / expected).sum())
     dof = len(observed) - 1
     return float(chi2.sf(stat, dof))
+
+
+def histogram_pvalue(samples: dict, law: dict, min_bins: int = 10) -> float:
+    """``chisquare_pvalue`` of sample counts against an exact law.
+
+    Both are dicts over the same kind of key; a key missing from ``law``
+    has probability zero. Fails unless at least ``min_bins`` bins expect
+    five samples or more, so the gate cannot pass by pooling everything.
+    """
+    keys = sorted(set(law) | set(samples))
+    observed = np.array([samples.get(k, 0) for k in keys])
+    probs = np.array([law.get(k, 0.0) for k in keys])
+    assert (probs * observed.sum() >= 5.0).sum() >= min_bins
+    return chisquare_pvalue(observed, probs)
+
+
+def sampler_grid():
+    """(params, init) pairs for the draw-for-draw sampler tests.
+
+    K in 2..5, theta in {0, 0.3, 1}, p in {0, 1/K, 0.9, 1}, and a uniform,
+    a fixed and a custom first step (the custom one puts no mass on move 0).
+    """
+    from memwalk.model import InitialSpec, validate_params
+
+    for K in range(2, 6):
+        custom = np.arange(K) / (K * (K - 1) / 2)
+        starts = (InitialSpec.uniform(), InitialSpec.fixed(K - 1), InitialSpec.custom(custom))
+        for theta in (0.0, 0.3, 1.0):
+            for p in (0.0, 1.0 / K, 0.9, 1.0):
+                params = validate_params(K // 2, K % 2 == 1, p, theta)
+                for init in starts:
+                    yield params, init
+
+
+class FixedUniform:
+    """Generator stand-in whose ``random()`` always returns ``u``.
+
+    ``integers`` comes from ``rng``. A ``u`` just below one reaches the
+    clip that keeps a sampler's index below K when a cumulative law sums
+    to slightly less than one.
+    """
+
+    def __init__(self, u: float, rng=None):
+        self.u = u
+        self.rng = rng
+
+    def random(self) -> float:
+        return self.u
+
+    def integers(self, n):
+        return self.rng.integers(n)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chisquare_pvalue
-from memwalk import urn
+from conftest import FixedUniform, chisquare_pvalue, histogram_pvalue, sampler_grid
+from memwalk import oracle, urn
 from memwalk.model import (
     InitialSpec,
     ModelParams,
@@ -16,6 +16,40 @@ from memwalk.model import (
     step,
     validate_params,
 )
+
+
+# The numpy samplers that the scalar ``initial_step`` and ``step`` replaced,
+# kept verbatim as references: the scalar ones must make the same draws in
+# the same order.
+def reference_initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generator) -> WalkState:
+    """Sample X_1 from ``init`` and return the one-step state."""
+    pi = init.distribution(params)
+    idx = int(np.searchsorted(np.cumsum(pi), rng.random(), side="right"))
+    idx = min(idx, params.K - 1)
+    counts = np.zeros(params.K, dtype=np.int64)
+    counts[idx] = 1
+    return WalkState(n=1, counts=counts)
+
+
+def reference_uniform_other(idx: int, K: int, rng: np.random.Generator) -> int:
+    """Uniform draw over the K-1 moves different from ``idx``."""
+    r = int(rng.integers(K - 1))
+    return r + 1 if r >= idx else r
+
+
+def reference_step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> WalkState:
+    if state.n < 1:
+        raise ValueError("cannot step before the first move is placed")
+    K = params.K
+    if rng.random() < params.theta:
+        t = int(rng.integers(state.n))
+        remembered = int(np.searchsorted(np.cumsum(state.counts), t, side="right"))
+        idx = remembered if rng.random() < params.p else reference_uniform_other(remembered, K, rng)
+    else:
+        idx = 0 if rng.random() < params.p else 1 + int(rng.integers(K - 1))
+    counts = state.counts.copy()
+    counts[idx] += 1
+    return WalkState(n=state.n + 1, counts=counts)
 
 
 def random_state(params: ModelParams, n: int, rng) -> WalkState:
@@ -225,3 +259,73 @@ class TestSimulate:
             simulate(params, InitialSpec.uniform(), 10, [0, 5], np.random.default_rng(0))
         with pytest.raises(ValueError):
             simulate(params, InitialSpec.uniform(), 10, [11], np.random.default_rng(0))
+
+
+class TestReferenceSampler:
+    WALKS, STEPS = 70, 10
+
+    def test_draw_for_draw_on_grid(self):
+        walks = 0
+        for params, init in sampler_grid():
+            for seed in range(self.WALKS):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                state = initial_step(params, init, rng)
+                ref = reference_initial_step(params, init, ref_rng)
+                assert np.array_equal(state.counts, ref.counts)
+                for _ in range(self.STEPS):
+                    state, ref = step(params, state, rng), reference_step(params, ref, ref_rng)
+                    assert state.n == ref.n and state.counts.dtype == ref.counts.dtype
+                    assert np.array_equal(state.counts, ref.counts)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                walks += 1
+        assert walks >= 10_000
+
+    def test_clip_when_first_step_law_sums_below_one(self):
+        params = validate_params(1, True, 0.5, 0.5)
+        init = InitialSpec.custom([0.25, 0.25, 0.5 - 1e-13])
+        u = 1.0 - 1e-14
+        assert np.cumsum(init.distribution(params))[-1] < u
+        state = initial_step(params, init, FixedUniform(u))
+        assert np.array_equal(state.counts, reference_initial_step(params, init, FixedUniform(u)).counts)
+        assert np.array_equal(state.counts, [0, 0, 1])
+
+
+def position_law(params: ModelParams, count_law: dict) -> dict:
+    """Law of S_n from the law of the count vector."""
+    law: dict = {}
+    for counts, prob in count_law.items():
+        key = tuple(urn.counts_to_position(counts, params.d, params.lazy).tolist())
+        law[key] = law.get(key, 0.0) + prob
+    return law
+
+
+def position_histogram(params: ModelParams, n: int, walks: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    hist: dict = {}
+    for _ in range(walks):
+        key = tuple(simulate(params, InitialSpec.uniform(), n, [], rng)[-1][1].tolist())
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+class TestExactLaw:
+    """The histogram of S_n from ``simulate`` against the exact count law."""
+
+    @pytest.mark.parametrize(
+        "d,lazy,p,theta,n,walks,seed",
+        [(1, False, 0.8, 0.6, 200, 1_000, 70_200), (1, True, 0.7, 0.5, 60, 3_000, 70_060)],
+    )
+    def test_position_histogram(self, d, lazy, p, theta, n, walks, seed):
+        params = validate_params(d, lazy, p, theta)
+        law = position_law(params, oracle.walk_count_law(params, InitialSpec.uniform(), n))
+        assert histogram_pvalue(position_histogram(params, n, walks, seed), law) > 1e-3
+
+    def test_one_sample_off_the_support_fails(self):
+        # theta = p = 1 repeats the first step: S_n is +n or -n
+        params, n = validate_params(1, False, 1.0, 1.0), 200
+        law = position_law(params, oracle.walk_count_law(params, InitialSpec.uniform(), n))
+        hist = position_histogram(params, n, 200, 70_001)
+        assert set(hist) == {(n,), (-n,)}
+        assert histogram_pvalue(hist, law, min_bins=2) > 1e-3
+        hist[(n - 2,)] = 1
+        assert histogram_pvalue(hist, law, min_bins=2) <= 1e-3

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chisquare_pvalue
+from conftest import FixedUniform, chisquare_pvalue, histogram_pvalue, sampler_grid
 from memwalk import oracle, theory, urn
-from memwalk.model import InitialSpec, validate_params
+from memwalk.model import InitialSpec, initial_step, validate_params
 from memwalk.urn import (
     UrnState,
     counts_to_position,
@@ -14,6 +14,37 @@ from memwalk.urn import (
     replacement_distribution,
     urn_step,
 )
+
+# The numpy urn sampler that the scalar ``urn_step`` replaced, kept verbatim
+# (with the replacement law it read) as the reference: the scalar one must
+# make the same draws in the same order.
+def reference_replacement_distribution(params, j: int) -> np.ndarray:
+    K, p, theta = params.K, params.p, params.theta
+    if not 0 <= j < K:
+        raise ValueError(f"color index {j} out of range [0, {K})")
+    law = np.full(K, (1.0 - p) / (K - 1.0))
+    if j == 0:
+        law[0] = p
+    else:
+        law[0] = p + theta * (1.0 - K * p) / (K - 1.0)
+        law[j] = (1.0 - p - theta * (1.0 - K * p)) / (K - 1.0)
+    return law
+
+
+def reference_urn_step(params, state: UrnState, rng) -> UrnState:
+    """Draw a ball uniformly, add one ball by the replacement law."""
+    if state.n < 1:
+        raise ValueError("urn is empty")
+    total = int(state.balls.sum())
+    t = int(rng.integers(total))
+    drawn = int(np.searchsorted(np.cumsum(state.balls), t, side="right"))
+    law = reference_replacement_distribution(params, drawn)
+    added = int(np.searchsorted(np.cumsum(law), rng.random(), side="right"))
+    added = min(added, params.K - 1)
+    balls = state.balls.copy()
+    balls[added] += 1
+    return UrnState(n=state.n + 1, balls=balls)
+
 
 PARAM_GRID = [
     (1, False, 0.2, 0.0),
@@ -170,3 +201,77 @@ class TestWalkEquivalence:
                         walk = oracle.walk_count_law(params, init, n)
                         balls = oracle.urn_count_law(params, init, n)
                         assert oracle.total_variation(walk, balls) < 1e-12
+
+
+class TestReferenceSampler:
+    WALKS, STEPS = 70, 10
+
+    def test_draw_for_draw_on_grid(self):
+        urns = 0
+        for params, init in sampler_grid():
+            for j in range(params.K):
+                assert np.array_equal(
+                    replacement_distribution(params, j), reference_replacement_distribution(params, j)
+                )
+            for seed in range(self.WALKS):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                state = UrnState(n=1, balls=initial_step(params, init, rng).counts)
+                ref = UrnState(n=1, balls=initial_step(params, init, ref_rng).counts)
+                for _ in range(self.STEPS):
+                    state, ref = urn_step(params, state, rng), reference_urn_step(params, ref, ref_rng)
+                    assert state.n == ref.n and state.balls.dtype == ref.balls.dtype
+                    assert np.array_equal(state.balls, ref.balls)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                urns += 1
+        assert urns >= 10_000
+
+    def test_clip_at_the_largest_uniform(self):
+        # every drawn color on the grid, with random() at its largest value
+        u = np.nextafter(1.0, 0.0)
+        clipped = 0
+        for params, _ in sampler_grid():
+            for j in range(params.K):
+                balls = np.zeros(params.K, dtype=np.int64)
+                balls[j] = 3
+                state = UrnState(n=3, balls=balls)
+                got = urn_step(params, state, FixedUniform(u, np.random.default_rng(j)))
+                want = reference_urn_step(params, state, FixedUniform(u, np.random.default_rng(j)))
+                assert np.array_equal(got.balls, want.balls)
+                clipped += np.cumsum(reference_replacement_distribution(params, j))[-1] <= u
+        assert clipped >= 1
+
+
+def urn_composition_histogram(params, n: int, urns: int, seed: int) -> dict:
+    """Ball counts after n balls: one from the first-step law, n - 1 added."""
+    rng = np.random.default_rng(seed)
+    hist: dict = {}
+    for _ in range(urns):
+        state = UrnState(n=1, balls=initial_step(params, InitialSpec.uniform(), rng).counts)
+        for _ in range(n - 1):
+            state = urn_step(params, state, rng)
+        key = tuple(state.balls.tolist())
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+class TestUrnExactLaw:
+    """The urn composition from ``urn_step`` against the walk's exact count law."""
+
+    @pytest.mark.parametrize(
+        "d,lazy,p,theta,n,urns,seed",
+        [(1, False, 0.8, 0.6, 200, 1_000, 71_200), (1, True, 0.7, 0.5, 60, 3_000, 71_060)],
+    )
+    def test_composition_histogram(self, d, lazy, p, theta, n, urns, seed):
+        params = validate_params(d, lazy, p, theta)
+        law = oracle.walk_count_law(params, InitialSpec.uniform(), n)
+        assert histogram_pvalue(urn_composition_histogram(params, n, urns, seed), law) > 1e-3
+
+    def test_one_sample_off_the_support_fails(self):
+        # theta = p = 1 only ever adds the color drawn: the urn stays monochrome
+        params, n = validate_params(1, False, 1.0, 1.0), 200
+        law = oracle.walk_count_law(params, InitialSpec.uniform(), n)
+        hist = urn_composition_histogram(params, n, 200, 71_001)
+        assert set(hist) == {(n, 0), (0, n)}
+        assert histogram_pvalue(hist, law, min_bins=2) > 1e-3
+        hist[(n - 1, 1)] = 1
+        assert histogram_pvalue(hist, law, min_bins=2) <= 1e-3
