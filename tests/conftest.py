@@ -1,6 +1,8 @@
 import numpy as np
 from scipy.stats import chi2
 
+from memwalk.model import InitialSpec, validate_params
+
 
 def chisquare_pvalue(observed: np.ndarray, probs: np.ndarray) -> float:
     """Goodness-of-fit p-value with small-expectation bins pooled.
@@ -51,8 +53,6 @@ def sampler_grid():
     K in 2..5, theta in {0, 0.3, 1}, p in {0, 1/K, 0.9, 1}, and a uniform,
     a fixed and a custom first step (the custom one puts no mass on move 0).
     """
-    from memwalk.model import InitialSpec, validate_params
-
     for K in range(2, 6):
         custom = np.arange(K) / (K * (K - 1) / 2)
         starts = (InitialSpec.uniform(), InitialSpec.fixed(K - 1), InitialSpec.custom(custom))
