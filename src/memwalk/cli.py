@@ -37,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Mirror of the CLI flags; round-trips losslessly through JSON."""
+    """Mirror of the CLI flags; round-trips losslessly through JSON.
+
+    Sizes not given are None; ``_merge_config`` fills them."""
 
     subcommand: str
     d: int = 1
@@ -45,9 +47,9 @@ class RunConfig:
     p: float = 0.5
     theta: float = 1.0
     init: str = "uniform"
-    n_steps: int = 1000
+    n_steps: int | None = None
     checkpoints: list[int] = dataclasses.field(default_factory=list)
-    replicas: int = 100
+    replicas: int | None = None
     seed: int = 0
     workers: int = 1
     out: str | None = None
@@ -68,7 +70,7 @@ class RunConfig:
         return RunConfig(**data)
 
 
-def _parse_init(spec: str, K: int) -> InitialSpec:
+def _parse_init(spec: str) -> InitialSpec:
     if spec == "uniform":
         return InitialSpec.uniform()
     if spec.startswith("fixed:"):
@@ -125,7 +127,7 @@ def cmd_theory(cfg: RunConfig) -> int:
             "covariance_unit_time": theory.critical_covariance(params, 1.0, 1.0),
         }
     if regime is Regime.SUPERDIFFUSIVE:
-        limit = theory.limit_moments(params, _parse_init(cfg.init, params.K))
+        limit = theory.limit_moments(params, _parse_init(cfg.init))
         doc["superdiffusive"] = {
             "exponent": 2.0 * params.second_eigenvalue,
             "weight_square_series": theory.martingale_square_series(params),
@@ -142,7 +144,7 @@ def _csv_row(values) -> str:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = validate_params(cfg.d, cfg.lazy, cfg.p, cfg.theta)
-    init = _parse_init(cfg.init, params.K)
+    init = _parse_init(cfg.init)
     summary = montecarlo.run_ensemble(
         params, init, cfg.n_steps, cfg.checkpoints, cfg.replicas, cfg.seed, workers=cfg.workers
     )
@@ -168,17 +170,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.tag is None:
         raise UsageError("verify needs --tag")
     params = validate_params(cfg.d, cfg.lazy, cfg.p, cfg.theta)
-    overrides = {}
-    if cfg.n_steps:
-        overrides["n_steps"] = cfg.n_steps
-    if cfg.replicas:
-        overrides["replicas"] = cfg.replicas
-    overrides["seed"] = cfg.seed
-    overrides["workers"] = cfg.workers
-    overrides["init"] = _parse_init(cfg.init, params.K)
-    if cfg.checkpoints:
-        overrides["checkpoints"] = list(cfg.checkpoints)
-    budget = montecarlo.default_budget(cfg.tag, **overrides)
+    # sizes left unset (None) come from the tag's default budget
+    budget = montecarlo.default_budget(
+        cfg.tag, n_steps=cfg.n_steps, replicas=cfg.replicas, checkpoints=cfg.checkpoints or None,
+        seed=cfg.seed, workers=cfg.workers, init=_parse_init(cfg.init),
+    )
     report = montecarlo.verify(cfg.tag, params, budget)
     _write_text(cfg.out, json.dumps(report.as_dict(), indent=2) + "\n")
     return 0 if report.passed else 2
@@ -187,8 +183,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_phase_diagram(cfg: RunConfig) -> int:
     if not cfg.p_grid or not cfg.theta_grid:
         raise UsageError("phase-diagram needs --p-grid and --theta-grid")
-    params0 = validate_params(cfg.d, cfg.lazy, 0.5, 1.0)
-    init = _parse_init(cfg.init, params0.K)
+    init = _parse_init(cfg.init)
     n_max = cfg.n_steps
     marks = sorted(set(int(v) for v in np.geomspace(100, n_max, 5)))
     lines = ["p,theta,regime,p_c,exponent_hat,exponent_se"]
@@ -215,7 +210,7 @@ def scaling_or_nan(summary) -> tuple[float, float]:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     params = validate_params(cfg.d, cfg.lazy, cfg.p, cfg.theta)
-    init = _parse_init(cfg.init, params.K)
+    init = _parse_init(cfg.init)
     dist = oracle.enumerate_paths(params, init, cfg.n_steps)
     marg = oracle.exact_marginals(params, init, cfg.n_steps)
     doc = {
@@ -285,6 +280,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         cfg.p_grid = _parse_grid(args.p_grid)
     if getattr(args, "theta_grid", None) is not None:
         cfg.theta_grid = _parse_grid(args.theta_grid)
+    if cfg.subcommand != "verify":
+        # verify takes unset sizes from the tag's budget in montecarlo._VERIFIERS
+        cfg.n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
+        cfg.replicas = 100 if cfg.replicas is None else cfg.replicas
     return cfg
 
 

@@ -434,10 +434,13 @@ def gaussianity_check(samples: np.ndarray) -> list[ShapeStats]:
 
 @dataclass
 class VerifyBudget:
-    """Replica/step budget for one verification experiment."""
+    """Replica/step budget for one verification experiment.
 
-    n_steps: int
-    replicas: int
+    A field left None takes the tag's default from ``_VERIFIERS``.
+    """
+
+    n_steps: int | None = None
+    replicas: int | None = None
     seed: int = 20240901
     checkpoints: list[int] | None = None
     init: InitialSpec = field(default_factory=InitialSpec.uniform)
@@ -447,23 +450,15 @@ class VerifyBudget:
     tolerance_rel: float | None = None
 
 
-_DEFAULT_BUDGETS = {
-    "lln": dict(n_steps=100_000, replicas=200),
-    "clt-diffusive": dict(n_steps=10_000, replicas=10_000, cross_time=(1.0, 4.0, 10_000), tolerance_rel=0.10),
-    "clt-critical": dict(n_steps=10_000, replicas=4_000, checkpoints=[1_000, 10_000], tolerance_rel=0.15),
-    "superdiffusive": dict(n_steps=100_000, replicas=2_000, tolerance_rel=0.10),
-    "moments": dict(n_steps=100_000, replicas=10_000, tolerance_rel=0.05),
-}
-
-
 def default_budget(tag: str, **overrides) -> VerifyBudget:
-    """Budget matching the acceptance gates for ``tag``; fields can be
-    overridden by keyword."""
-    if tag not in _DEFAULT_BUDGETS:
+    """Budget matching the acceptance gates for ``tag``: the keyword
+    overrides, with every field they leave None taken from the tag's
+    ``_VERIFIERS`` entry."""
+    if tag not in _VERIFIERS:
         raise ValueError(f"unknown verification tag {tag!r}")
-    kwargs = dict(_DEFAULT_BUDGETS[tag])
-    kwargs.update(overrides)
-    return VerifyBudget(**kwargs)
+    budget = VerifyBudget(**overrides)
+    defaults = _VERIFIERS[tag][2]
+    return dataclasses.replace(budget, **{k: v for k, v in defaults.items() if getattr(budget, k) is None})
 
 
 @dataclass
@@ -500,17 +495,7 @@ def json_ready(obj):
     return obj
 
 
-def _config_dict(params: ModelParams, budget: VerifyBudget) -> dict:
-    return {
-        "params": {"d": params.d, "lazy": params.lazy, "p": params.p, "theta": params.theta},
-        "n_steps": budget.n_steps,
-        "replicas": budget.replicas,
-        "seed": budget.seed,
-        "init": budget.init.kind,
-    }
-
-
-def _verify_lln(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
+def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     summary = run_ensemble(
         params, budget.init, n, [n], budget.replicas, budget.seed, workers=budget.workers
@@ -521,19 +506,16 @@ def _verify_lln(params: ModelParams, budget: VerifyBudget) -> VerificationReport
     se = cp.stderr / n
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, np.abs(emp - limit) / se, np.where(np.abs(emp - limit) < 1e-12, 0.0, np.inf))
-    passed = bool(np.all(z <= budget.tolerance_se))
-    return VerificationReport(
-        tag="lln",
-        passed=passed,
+    return dict(
+        passed=bool(np.all(z <= budget.tolerance_se)),
         theoretical={"limit": limit},
         empirical={"mean_over_n": emp, "stderr": se},
         discrepancy={"se_units": z},
         tolerance={"se_units": budget.tolerance_se},
-        config=_config_dict(params, budget),
     )
 
 
-def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
+def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     R = budget.replicas
     summary = run_ensemble(
@@ -555,36 +537,27 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> Verifica
         for s in shapes
     )
 
-    cross_emp = cross_th = None
-    cross_rel = None
-    cross_pass = True
-    if budget.cross_time is not None:
-        s_time, t_time, n_scale = budget.cross_time
-        cross_emp = cross_time_covariance(
-            params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
-        )
-        cross_th = theory.diffusive_covariance(params, s_time, t_time)
-        scale = np.max(np.abs(cross_th))
-        cross_rel = float(np.max(np.abs(cross_emp - cross_th)) / scale)
-        cross_pass = cross_rel <= (budget.tolerance_rel or 0.10)
+    s_time, t_time, n_scale = budget.cross_time
+    cross_emp = cross_time_covariance(
+        params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
+    )
+    cross_th = theory.diffusive_covariance(params, s_time, t_time)
+    cross_rel = float(np.max(np.abs(cross_emp - cross_th)) / np.max(np.abs(cross_th)))
 
-    return VerificationReport(
-        tag="clt-diffusive",
-        passed=cov_pass and shape_pass and cross_pass,
+    return dict(
+        passed=cov_pass and shape_pass and cross_rel <= budget.tolerance_rel,
         theoretical={"covariance_over_n": th, "cross_time": cross_th},
         empirical={"covariance_over_n": emp, "cross_time": cross_emp,
                    "shape_z": shape_z},
         discrepancy={"covariance_se_units": z, "cross_time_rel": cross_rel},
         tolerance={"se_units": budget.tolerance_se, "cross_time_rel": budget.tolerance_rel},
-        config=_config_dict(params, budget),
     )
 
 
-def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
-    marks = budget.checkpoints or [1_000, 10_000]
-    n_max = max(marks)
+def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
+    marks = budget.checkpoints
     summary = run_ensemble(
-        params, budget.init, n_max, marks, budget.replicas, budget.seed, workers=budget.workers
+        params, budget.init, max(marks), marks, budget.replicas, budget.seed, workers=budget.workers
     )
     th = float(np.trace(theory.critical_covariance(params, 1.0, 1.0)))
     ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
@@ -592,40 +565,37 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> Verificat
     r_first = ratios[marks[0]]
     drift = abs(r_last / r_first - 1.0)
     offset = abs(r_last / th - 1.0)
-    tol = budget.tolerance_rel or 0.15
-    return VerificationReport(
-        tag="clt-critical",
+    tol = budget.tolerance_rel
+    return dict(
         passed=bool(drift <= tol and offset <= tol),
         theoretical={"trace_over_nlogn": th},
         empirical={"trace_over_nlogn": ratios},
         discrepancy={"between_checkpoints_rel": drift, "vs_theory_rel": offset},
         tolerance={"rel": tol},
-        config=_config_dict(params, budget),
     )
 
 
-def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
-    first = max(1, min(100, budget.n_steps // 100))
-    marks = budget.checkpoints or [int(v) for v in np.geomspace(first, budget.n_steps, 7)]
-    marks = sorted(set(marks))
+def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
+    marks = budget.checkpoints
+    if marks is None:
+        first = max(1, min(100, budget.n_steps // 100))
+        marks = [int(v) for v in np.geomspace(first, budget.n_steps, 7)]
     summary = run_ensemble(
         params, budget.init, max(marks), marks, budget.replicas, budget.seed, workers=budget.workers
     )
     slope, se = scaling_exponent(summary)
     target = 2.0 * params.second_eigenvalue
-    tol = budget.tolerance_rel or 0.10
-    return VerificationReport(
-        tag="superdiffusive",
+    tol = budget.tolerance_rel
+    return dict(
         passed=bool(abs(slope - target) <= tol),
         theoretical={"exponent": target},
         empirical={"exponent": slope, "exponent_se": se},
         discrepancy={"abs": abs(slope - target)},
         tolerance={"abs": tol},
-        config=_config_dict(params, budget),
     )
 
 
-def _verify_moments(params: ModelParams, budget: VerifyBudget) -> VerificationReport:
+def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     R = budget.replicas
     r = params.second_eigenvalue
@@ -637,7 +607,7 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> VerificationRe
     scale = float(n) ** (2.0 * r)
     emp_second = cp.cov / scale
     rel = float(np.max(np.abs(emp_second - limit.second_moment)) / np.max(np.abs(limit.second_moment)))
-    tol = budget.tolerance_rel or 0.05
+    tol = budget.tolerance_rel
 
     # centered mean: E(S_n) from the exact recursion, scaled like L
     exact_mean = theory._mean_position(params, budget.init, n)
@@ -647,24 +617,35 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> VerificationRe
         mean_z = np.where(se_l > 0, np.abs(mean_l) / se_l, 0.0)
     mean_pass = bool(np.all(mean_z <= budget.tolerance_se))
 
-    return VerificationReport(
-        tag="moments",
+    return dict(
         passed=bool(rel <= tol and mean_pass),
         theoretical={"second_moment": limit.second_moment, "mean": limit.mean},
         empirical={"second_moment": emp_second, "mean": mean_l, "mean_se": se_l},
         discrepancy={"second_moment_rel": rel, "mean_se_units": mean_z},
         tolerance={"second_moment_rel": tol, "mean_se_units": budget.tolerance_se},
-        config=_config_dict(params, budget),
     )
 
 
-#: Verifier of each tag and the regimes its claim is about.
+#: Per tag: the verifier, the regimes its claim is about and the default
+#: budget, which fills every field a caller's VerifyBudget leaves None.
 _VERIFIERS = {
-    "lln": (_verify_lln, tuple(Regime)),
-    "clt-diffusive": (_verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION)),
-    "clt-critical": (_verify_clt_critical, (Regime.CRITICAL,)),
-    "superdiffusive": (_verify_superdiffusive, (Regime.SUPERDIFFUSIVE,)),
-    "moments": (_verify_moments, (Regime.SUPERDIFFUSIVE,)),
+    "lln": (_verify_lln, tuple(Regime), dict(n_steps=100_000, replicas=200)),
+    "clt-diffusive": (
+        _verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION),
+        dict(n_steps=10_000, replicas=10_000, cross_time=(1.0, 4.0, 10_000), tolerance_rel=0.10),
+    ),
+    "clt-critical": (
+        _verify_clt_critical, (Regime.CRITICAL,),
+        dict(n_steps=10_000, replicas=4_000, checkpoints=[1_000, 10_000], tolerance_rel=0.15),
+    ),
+    "superdiffusive": (
+        _verify_superdiffusive, (Regime.SUPERDIFFUSIVE,),
+        dict(n_steps=100_000, replicas=2_000, tolerance_rel=0.10),
+    ),
+    "moments": (
+        _verify_moments, (Regime.SUPERDIFFUSIVE,),
+        dict(n_steps=100_000, replicas=10_000, tolerance_rel=0.05),
+    ),
 }
 
 
@@ -672,16 +653,21 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     """Run the verification experiment for ``tag`` and report the verdict.
 
     Tags: lln, clt-diffusive, clt-critical, superdiffusive, moments.
-    Raises RegimeMismatchError when the parameters do not belong to the
-    regime the tag is about.
+    Fields of ``budget`` left None take the tag's defaults. Raises
+    RegimeMismatchError when the parameters do not belong to the regime
+    the tag is about.
     """
-    if tag not in _VERIFIERS:
-        raise ValueError(f"unknown verification tag {tag!r}")
-    verifier, regimes = _VERIFIERS[tag]
+    budget = default_budget(tag, **vars(budget or VerifyBudget()))
+    verifier, regimes, _ = _VERIFIERS[tag]
     regime = theory.classify_regime(params)
     if regime not in regimes:
         allowed = " or ".join(r.value for r in regimes)
         raise RegimeMismatchError(f"tag {tag} needs a {allowed} point, got {regime.value}")
-    if budget is None:
-        budget = default_budget(tag)
-    return verifier(params, budget)
+    config = {
+        "params": {"d": params.d, "lazy": params.lazy, "p": params.p, "theta": params.theta},
+        "n_steps": budget.n_steps,
+        "replicas": budget.replicas,
+        "seed": budget.seed,
+        "init": budget.init.kind,
+    }
+    return VerificationReport(tag=tag, config=config, **verifier(params, budget))

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from memwalk import montecarlo
 from memwalk.cli import RunConfig, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -156,6 +157,28 @@ class TestVerifyCommand:
     def test_missing_tag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--d", "1", "--theta", "1", "--p", "0.6")
         assert code == 1
+
+    def test_unset_sizes_take_the_tag_budget(self, capsys):
+        # the README command: no --steps or --reps
+        code, out, _ = run_cli(
+            capsys, "verify", "--tag", "lln", "--d", "1", "--theta", "0.3", "--p", "0.8", "--seed", "7",
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        budget = montecarlo.default_budget("lln")
+        assert (config["n_steps"], config["replicas"]) == (budget.n_steps, budget.replicas) == (100_000, 200)
+
+    def test_zero_steps_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--tag", "lln", "--d", "1", "--theta", "0.3", "--p", "0.8",
+            "--steps", "0", "--reps", "10",
+        )
+        assert code == 1
+        assert "n_steps" in err
+
+    def test_schema_tags_match_verifier_table(self):
+        tags = load_schema("verify")["properties"]["tag"]["enum"]
+        assert sorted(tags) == sorted(montecarlo._VERIFIERS)
 
 
 class TestPhaseDiagramCommand:

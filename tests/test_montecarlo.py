@@ -412,6 +412,33 @@ class TestVerify:
         text = json.dumps(report.as_dict())
         assert "lln" in text
 
+    @pytest.mark.parametrize("tag, p, overrides, key", [
+        # each would pass its default gate: rel 0.028 against 0.05 and 0.039 against 0.10
+        ("moments", 0.9, dict(n_steps=2_000, replicas=2_000), "second_moment_rel"),
+        ("clt-diffusive", 0.6, dict(n_steps=500, replicas=2_000, cross_time=(1.0, 4.0, 500)), "cross_time_rel"),
+    ])
+    def test_zero_relative_tolerance_is_kept(self, tag, p, overrides, key):
+        params = validate_params(1, False, p, 1.0)
+        report = verify(tag, params, default_budget(tag, seed=5, tolerance_rel=0.0, **overrides))
+        assert not report.passed
+        assert report.tolerance[key] == 0.0
+
+    def test_hand_built_budget_takes_table_defaults(self):
+        params = validate_params(1, False, 0.75, 1.0)
+        budget = VerifyBudget(n_steps=30, replicas=2_000, checkpoints=[3, 30])
+        report = verify("clt-critical", params, budget)
+        assert report.tolerance["rel"] == 0.15
+        assert report.config["n_steps"] == 30 and report.config["replicas"] == 2_000
+        assert budget.tolerance_rel is None
+
+    def test_default_budget_is_the_table_entry(self):
+        for tag, (_, _, defaults) in montecarlo._VERIFIERS.items():
+            budget = default_budget(tag)
+            assert {k: getattr(budget, k) for k in defaults} == defaults
+        assert default_budget("lln", n_steps=None, replicas=7).n_steps == 100_000
+        with pytest.raises(ValueError):
+            default_budget("nonsense")
+
 
 class TestMomentConsistency:
     def test_monte_carlo_matches_propagation(self):
