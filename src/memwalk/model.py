@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -174,10 +175,15 @@ def conditional_law(params: ModelParams, state: WalkState) -> np.ndarray:
     return law
 
 
+@lru_cache
+def _first_step_cdf(init: InitialSpec, params: ModelParams) -> tuple[float, ...]:
+    """Cumulative first-step law, validated and built once per (init, params)."""
+    return tuple(accumulate(init.distribution(params).tolist()))
+
+
 def initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generator) -> WalkState:
     """Sample X_1 from ``init`` and return the one-step state."""
-    cdf = list(accumulate(init.distribution(params).tolist()))
-    idx = min(bisect_right(cdf, rng.random()), params.K - 1)
+    idx = min(bisect_right(_first_step_cdf(init, params), rng.random()), params.K - 1)
     counts = np.zeros(params.K, dtype=np.int64)
     counts[idx] = 1
     return WalkState(n=1, counts=counts)
@@ -224,9 +230,7 @@ def simulate(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    marks = sorted(set(int(c) for c in checkpoints))
-    if not marks:
-        marks = [n_steps]
+    marks = sorted(set(int(c) for c in checkpoints)) or [n_steps]
     if marks[0] < 1 or marks[-1] > n_steps:
         raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
     mark_set = set(marks)

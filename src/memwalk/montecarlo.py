@@ -154,19 +154,28 @@ def _simulate_block(
     """Lockstep-vectorized walk of replicas [lo, hi) with private streams.
 
     Each replica consumes exactly one uniform per step from its own
-    generator; draws are buffered in chunks to amortize generator calls,
-    step-major so that one step reads one contiguous row. A refill draws
-    the chunks of up to _REFILL_BLOCK replicas into contiguous rows and
-    transposes them into the buffer, which misses the cache far less
-    than writing each replica's column in turn.
+    generator, buffered in chunks step-major so that a step reads one
+    contiguous row. A refill draws the chunks of up to _REFILL_BLOCK
+    replicas into rows and transposes them into the buffer, which misses
+    the cache far less than writing each replica's column in turn.
 
-    The move is sampled by inverting the exact one-step law, which
-    equals the two-branch law of the scalar sampler: the move is the
-    number of partial sums of base + (lam2/n) N below u, capped at K - 1.
+    The move inverts the exact one-step law base + (lam2/n) N, which is
+    the two-branch law of the scalar sampler. Counts are K - 1 float64
+    rows of cumulative counts M_k = N_0 + ... + N_k, exact below 2^53;
+    the last colour is implied, N_(K-1) = n - M_(K-2), and the K counts
+    are rebuilt only at checkpoints. Partial sum k is formed as
+    acc_(k-1) + ((M_k - M_(k-1)) c + base_k), a cumsum of the law in its
+    order, and the move is at most k exactly when it is >= u, so that
+    test is added into M_k and the last partial sum is never formed.
 
-    Counts are K float64 rows, exact below 2^53, updated in place; the
-    partial sums are formed in the same order as a cumsum of the law, so
-    every move is decided by the same floating-point operations.
+    This is the reference rule "count the partial sums below u, cap at
+    K - 1" whenever the float partial sums do not decrease, that is when
+    every term fl(fl(c N_k) + base_k), k >= 1, is >= 0. That is trivial
+    for c >= 0; for c < 0 the exact minimum over N_k <= n is
+    ((1 - theta)(1 - p) + theta p (K - 1)) / (K - 1) >= 0. Over n < 10^6
+    the float term at N_k = n is negative (-1 ulp) only at theta = 1,
+    p = 0, where N_k = n is reachable only at n = 1 and the term there is
+    exactly 0: the first colour's weight is exactly 0 from step 2 on.
     """
     nrep = hi - lo
     K, d = params.K, params.d
@@ -192,13 +201,12 @@ def _simulate_block(
         remaining -= 1
         return u
 
-    counts = np.zeros((K, nrep))
-    rows = list(counts)
+    cum = np.zeros((K - 1, nrep))
+    rows = list(cum)
     base = base_step_rates(params).tolist()
     lam2 = params.second_eigenvalue
     acc, tmp = np.empty(nrep), np.empty(nrep)
     hit = np.empty(nrep, dtype=bool)
-    idx = np.empty(nrep, dtype=np.intp)
 
     sum_x = np.zeros((len(marks), d), dtype=np.int64)
     sum_xx = np.zeros((len(marks), d, d), dtype=np.int64)
@@ -208,6 +216,7 @@ def _simulate_block(
 
     def record() -> None:
         nonlocal ci, next_mark
+        counts = np.diff(cum, axis=0, prepend=0.0, append=float(next_mark))
         pos = (counts[0 : 2 * d : 2] - counts[1 : 2 * d : 2]).astype(np.int64).T
         sum_x[ci] += pos.sum(axis=0)
         sum_xx[ci] += pos.T @ pos
@@ -218,7 +227,7 @@ def _simulate_block(
     # first step from the initial distribution
     cum0 = np.cumsum(init.distribution(params))
     first = np.minimum(np.searchsorted(cum0, next_row(), side="right"), K - 1)
-    counts[first, np.arange(nrep)] = 1
+    cum[:] = first <= np.arange(K - 1)[:, None]
     if next_mark == 1:
         record()
 
@@ -227,17 +236,14 @@ def _simulate_block(
         u = next_row()
         np.multiply(rows[0], c, out=acc)
         np.add(acc, base[0], out=acc)
-        np.less(acc, u, out=idx)
-        for k in range(1, K):
-            np.multiply(rows[k], c, out=tmp)
+        np.greater_equal(acc, u, out=hit)
+        for k in range(1, K - 1):
+            np.subtract(rows[k], rows[k - 1], out=tmp)
+            np.multiply(tmp, c, out=tmp)
             np.add(tmp, base[k], out=tmp)
             np.add(acc, tmp, out=acc)
-            np.less(acc, u, out=hit)
-            np.add(idx, hit, out=idx)
-        for k in range(K - 1):
-            np.equal(idx, k, out=hit)
-            np.add(rows[k], hit, out=rows[k])
-        np.greater_equal(idx, K - 1, out=hit)
+            np.add(rows[k - 1], hit, out=rows[k - 1])
+            np.greater_equal(acc, u, out=hit)
         np.add(rows[-1], hit, out=rows[-1])
         if next_mark == n + 1:
             record()
@@ -286,27 +292,6 @@ def _run_blocks(
     return merged
 
 
-def _finalize(
-    params: ModelParams,
-    marks: list[int],
-    sums: _BlockSums,
-    seed: int,
-) -> EnsembleSummary:
-    R = sums.replicas
-    stats = []
-    for ci, n in enumerate(marks):
-        mean = sums.sum_x[ci] / R
-        cov = (sums.sum_xx[ci] - R * np.outer(mean, mean)) / (R - 1)
-        stderr = np.sqrt(np.maximum(np.diag(cov), 0.0) / R)
-        stats.append(CheckpointStats(n=n, replicas=R, mean=mean, cov=cov, stderr=stderr))
-    samples = {}
-    if sums.samples is not None:
-        samples = {n: sums.samples[ci] for ci, n in enumerate(marks)}
-    return EnsembleSummary(
-        params=params, replicas=R, seed=seed, checkpoints=stats, samples=samples
-    )
-
-
 def run_ensemble(
     params: ModelParams,
     init: InitialSpec,
@@ -331,7 +316,14 @@ def run_ensemble(
     if marks[0] < 1 or marks[-1] > n_steps:
         raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
     sums = _run_blocks(params, init, n_steps, marks, replicas, seed, workers, retain_samples)
-    return _finalize(params, marks, sums, seed)
+    stats = []
+    for ci, n in enumerate(marks):
+        mean = sums.sum_x[ci] / replicas
+        cov = (sums.sum_xx[ci] - replicas * np.outer(mean, mean)) / (replicas - 1)
+        stderr = np.sqrt(np.maximum(np.diag(cov), 0.0) / replicas)
+        stats.append(CheckpointStats(n=n, replicas=replicas, mean=mean, cov=cov, stderr=stderr))
+    samples = dict(zip(marks, sums.samples)) if sums.samples is not None else {}
+    return EnsembleSummary(params=params, replicas=replicas, seed=seed, checkpoints=stats, samples=samples)
 
 
 def scaling_exponent(summary: EnsembleSummary) -> tuple[float, float]:
@@ -555,14 +547,13 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
 
 
 def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
-    marks = budget.checkpoints
     summary = run_ensemble(
-        params, budget.init, max(marks), marks, budget.replicas, budget.seed, workers=budget.workers
+        params, budget.init, budget.n_steps, budget.checkpoints, budget.replicas, budget.seed,
+        workers=budget.workers,
     )
     th = float(np.trace(theory.critical_covariance(params, 1.0, 1.0)))
     ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
-    r_last = ratios[marks[-1]]
-    r_first = ratios[marks[0]]
+    r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
     drift = abs(r_last / r_first - 1.0)
     offset = abs(r_last / th - 1.0)
     tol = budget.tolerance_rel
@@ -581,7 +572,7 @@ def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
         first = max(1, min(100, budget.n_steps // 100))
         marks = [int(v) for v in np.geomspace(first, budget.n_steps, 7)]
     summary = run_ensemble(
-        params, budget.init, max(marks), marks, budget.replicas, budget.seed, workers=budget.workers
+        params, budget.init, budget.n_steps, marks, budget.replicas, budget.seed, workers=budget.workers
     )
     slope, se = scaling_exponent(summary)
     target = 2.0 * params.second_eigenvalue
@@ -658,6 +649,9 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     the tag is about.
     """
     budget = default_budget(tag, **vars(budget or VerifyBudget()))
+    if tag in ("clt-critical", "superdiffusive") and budget.checkpoints:
+        # these ensembles run to their last checkpoint, whatever n_steps says
+        budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints))
     verifier, regimes, _ = _VERIFIERS[tag]
     regime = theory.classify_regime(params)
     if regime not in regimes:

@@ -145,6 +145,22 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["passed"] is False
 
+    def test_checkpoint_order_does_not_change_the_report(self, capsys):
+        argv = ["verify", "--tag", "clt-critical", "--d", "1", "--theta", "1", "--p", "0.75",
+                "--steps", "30", "--reps", "2000", "--seed", "7"]
+        _, ascending, _ = run_cli(capsys, *argv, "--checkpoints", "3,30")
+        _, descending, _ = run_cli(capsys, *argv, "--checkpoints", "30,3")
+        assert ascending == descending
+
+    def test_config_reports_the_steps_run(self, capsys):
+        # both tags run to their last checkpoint, whatever --steps says
+        common = ["--d", "1", "--theta", "1", "--steps", "2000", "--reps", "200", "--seed", "7"]
+        _, out, _ = run_cli(capsys, "verify", "--tag", "clt-critical", "--p", "0.75", *common)
+        assert json.loads(out)["config"]["n_steps"] == 10_000  # default checkpoints 1 000, 10 000
+        _, out, _ = run_cli(capsys, "verify", "--tag", "superdiffusive", "--p", "0.9",
+                            "--checkpoints", "10,100,1000", *common)
+        assert json.loads(out)["config"]["n_steps"] == 1_000
+
     def test_superdiffusive_small_budget(self, capsys):
         # the default checkpoints span two decades below 1e4 steps too
         code, out, _ = run_cli(

@@ -182,6 +182,17 @@ class TestInitialStep:
         state = initial_step(params, InitialSpec.custom([0.0, 1.0]), np.random.default_rng(0))
         assert state.counts[1] == 1
 
+    def test_bad_spec_raises_on_every_call(self):
+        # the first-step law is cached per (init, params); a failed check is not
+        params = validate_params(1, False, 0.5, 0.5)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for init in (InitialSpec.fixed(2), InitialSpec.custom([0.5, 0.4]), InitialSpec(kind="odd")):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    initial_step(params, init, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestStep:
     def test_fully_persistent(self):

@@ -120,8 +120,9 @@ def exact_position_law(params, init, n):
 
 class TestKernelReference:
     def test_matches_reference_on_grid(self):
-        # K in 2..5 x theta x p x three starts; odd replica range, marks at 1 and n
-        for K in (2, 3, 4, 5):
+        # K in 2..7 x theta x p x three starts; odd replica range, marks at 1 and n.
+        # theta = 1, p = 0 at K = 4, 6, 7 is the corner where a term can be -1 ulp.
+        for K in (2, 3, 4, 5, 6, 7):
             custom = InitialSpec.custom(np.random.default_rng(K).dirichlet(np.ones(K)))
             for theta in (0.0, 0.3, 1.0):
                 for p in (0.0, 0.2, 1.0 / K, 0.9, 1.0):
@@ -141,6 +142,39 @@ class TestKernelReference:
         hi = 3 + 2 * montecarlo._REFILL_BLOCK + 41
         params = validate_params(K // 2, K % 2 == 1, 0.2, 0.3)
         assert_same_block(params, InitialSpec.fixed(K - 1), 200, [1, 199, 200], 13, 3, hi)
+
+
+class TestCumulativeRule:
+    """_simulate_block takes "move <= k" as "partial sum k >= u". That is the
+    reference's "count the partial sums below u" while the partial sums do
+    not decrease, i.e. while every term fl(fl(c N) + base_k), k >= 1, is >= 0."""
+
+    def test_terms_are_nonnegative(self):
+        n = np.arange(1, 10**6, dtype=float)
+        for K in range(2, 8):
+            for theta in (0.3, 0.9, 1 - 1e-9, 1.0):
+                for p in (0.0, 1e-12, 0.1, 1.0 / K - 1e-12):
+                    params = validate_params(K // 2, K % 2 == 1, p, theta)
+                    base = base_step_rates(params)[1]  # the same for every k >= 1
+                    c = params.second_eigenvalue / n
+                    assert np.all(base + c * (n - 1) >= 0.0), (K, theta, p)
+                    at_n = base + c * n
+                    if theta == 1.0 and p == 0.0:
+                        # N = n is reachable only at n = 1: the first colour's
+                        # weight is exactly 0 at step 2
+                        assert at_n[0] == 0.0, K
+                    else:
+                        assert np.all(at_n >= 0.0), (K, theta, p)
+
+    def test_corner_has_negative_terms(self):
+        # without the n = 1 argument the corner would break monotonicity
+        n = np.arange(2, 10**6, dtype=float)
+        negative = set()
+        for K in range(2, 8):
+            params = validate_params(K // 2, K % 2 == 1, 0.0, 1.0)
+            if np.any(base_step_rates(params)[1] + params.second_eigenvalue / n * n < 0.0):
+                negative.add(K)
+        assert negative == {4, 6, 7}
 
 
 class TestEngineAgainstExactLaw:
