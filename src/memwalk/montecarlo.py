@@ -649,7 +649,7 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     the tag is about.
     """
     budget = default_budget(tag, **vars(budget or VerifyBudget()))
-    if tag in ("clt-critical", "superdiffusive") and budget.checkpoints:
+    if tag in ("clt-critical", "superdiffusive") and budget.checkpoints is not None:
         # these ensembles run to their last checkpoint, whatever n_steps says
         budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints))
     verifier, regimes, _ = _VERIFIERS[tag]

@@ -166,16 +166,6 @@ class TestCumulativeRule:
                     else:
                         assert np.all(at_n >= 0.0), (K, theta, p)
 
-    def test_corner_has_negative_terms(self):
-        # without the n = 1 argument the corner would break monotonicity
-        n = np.arange(2, 10**6, dtype=float)
-        negative = set()
-        for K in range(2, 8):
-            params = validate_params(K // 2, K % 2 == 1, 0.0, 1.0)
-            if np.any(base_step_rates(params)[1] + params.second_eigenvalue / n * n < 0.0):
-                negative.add(K)
-        assert negative == {4, 6, 7}
-
 
 class TestEngineAgainstExactLaw:
     @pytest.mark.parametrize(
@@ -464,6 +454,11 @@ class TestVerify:
         assert report.tolerance["rel"] == 0.15
         assert report.config["n_steps"] == 30 and report.config["replicas"] == 2_000
         assert budget.tolerance_rel is None
+
+    def test_empty_checkpoint_list_rejected(self):
+        params = validate_params(1, False, 0.75, 1.0)
+        with pytest.raises(ValueError):
+            verify("clt-critical", params, VerifyBudget(n_steps=30, replicas=10, checkpoints=[]))
 
     def test_default_budget_is_the_table_entry(self):
         for tag, (_, _, defaults) in montecarlo._VERIFIERS.items():
