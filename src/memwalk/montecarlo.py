@@ -9,13 +9,17 @@ computed for a whole block of replicas at once; the draws are those of
 ``PCG64(replica_stream_seed(s, i))``. This derivation is part of the
 output contract: results are bit-identical for a fixed (seed, params,
 replicas, checkpoints) no matter how replicas are partitioned across
-workers, because moment accumulators are exact integer sums.
+workers, because moment accumulators are exact integer sums. Pooled calls
+share one worker pool per process, forked by the first such call and kept
+until exit, so module state patched after that fork does not reach it.
 """
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -263,6 +267,18 @@ def _process_count(workers: int, replicas: int, cpus: int) -> int:
     return max(1, min(int(workers), replicas, cpus))
 
 
+_pool = None  # (pid that made it, workers, executor): the process's one worker pool
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Forget the worker pool, shutting it down if this process made it."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
+
+
 def _run_blocks(
     params: ModelParams,
     init: InitialSpec,
@@ -280,16 +296,21 @@ def _run_blocks(
     tasks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if len(tasks) == 1:
         return _simulate_block(params, init, n_steps, marks, seed, 0, replicas, retain)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        futures = [
-            pool.submit(_simulate_block, params, init, n_steps, marks, seed, lo, hi, retain)
-            for lo, hi in tasks
-        ]
-        parts = [f.result() for f in futures]
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
+    global _pool
+    args = (params, init, n_steps, marks, seed)
+    for retry in (False, True):
+        # a forked child, or a call that needs more workers, makes a new pool
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < len(tasks):
+            _drop_pool()
+            _pool = (os.getpid(), len(tasks), concurrent.futures.ProcessPoolExecutor(len(tasks)))
+        try:
+            futures = [_pool[2].submit(_simulate_block, *args, lo, hi, retain) for lo, hi in tasks]
+            return functools.reduce(_BlockSums.merge, [f.result() for f in futures])
+        except concurrent.futures.BrokenExecutor:
+            # a worker died; blocks are pure, so they run once more on a fresh pool
+            _drop_pool()
+            if retry:
+                raise
 
 
 def run_ensemble(
@@ -547,6 +568,8 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
 
 
 def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
+    if len(set(budget.checkpoints)) < 2:
+        raise ValueError(f"clt-critical needs two distinct checkpoints, got {budget.checkpoints}")
     summary = run_ensemble(
         params, budget.init, budget.n_steps, budget.checkpoints, budget.replicas, budget.seed,
         workers=budget.workers,

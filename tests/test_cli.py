@@ -1,4 +1,8 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +13,7 @@ from memwalk import montecarlo
 from memwalk.cli import RunConfig, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name: str) -> dict:
@@ -105,6 +110,26 @@ class TestSimulateCommand:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_pooled_run_exits_cleanly(self, tmp_path):
+        # the pool's workers outlive each call; at exit they must end quietly,
+        # and communicate() returns only once no worker holds the pipes
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = [sys.executable, "-m", "memwalk", "simulate", "--d", "1", "--theta", "1", "--p", "0.6",
+                "--steps", "100", "--checkpoints", "10,100", "--reps", "30", "--seed", "4",
+                "--workers", "2", "--out", str(tmp_path / "w2.csv")]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+        assert (proc.returncode, out, err) == (0, "", "")
+        assert main(argv[3:-4] + ["--workers", "1", "--out", str(tmp_path / "w1.csv")]) == 0
+        assert (tmp_path / "w2.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--d", "1", "--theta", "1", "--p", "0.6",
@@ -151,6 +176,15 @@ class TestVerifyCommand:
         _, ascending, _ = run_cli(capsys, *argv, "--checkpoints", "3,30")
         _, descending, _ = run_cli(capsys, *argv, "--checkpoints", "30,3")
         assert ascending == descending
+
+    def test_single_checkpoint_rejected(self, capsys):
+        # one checkpoint would compare the n log n ratio with itself
+        code, out, err = run_cli(
+            capsys, "verify", "--tag", "clt-critical", "--d", "1", "--theta", "1", "--p", "0.75",
+            "--checkpoints", "3000", "--reps", "1000", "--seed", "7",
+        )
+        assert code == 1 and out == ""
+        assert "two distinct checkpoints" in err
 
     def test_config_reports_the_steps_run(self, capsys):
         # both tags run to their last checkpoint, whatever --steps says

@@ -1,3 +1,7 @@
+import os
+import select
+import signal
+
 import numpy as np
 import pytest
 
@@ -165,6 +169,53 @@ class TestCumulativeRule:
                         assert at_n[0] == 0.0, K
                     else:
                         assert np.all(at_n >= 0.0), (K, theta, p)
+
+
+def feed(monkeypatch, rows):
+    """Make each Generator built from now on hand out the next row as its uniforms."""
+    rows = iter(rows)
+
+    class Fed:
+        def __init__(self, bit_generator):
+            self.row = next(rows)
+
+        def random(self, size=None, out=None):
+            if out is None:
+                return self.row[:size].copy()
+            out[:] = self.row[: len(out)]
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", Fed)
+
+
+class TestTieRule:
+    """A uniform equal to partial sum k moves to colour k, the lower one: the
+    kernel tests acc >= u, as the reference counts partial sums strictly below
+    u. Random draws tie with probability about 2^-53, so the uniforms are fed
+    in. The kernel runs in this process: a monkeypatch made after the pool
+    exists never reaches its forked workers."""
+
+    @pytest.mark.parametrize("d, lazy", [(1, False), (1, True), (2, True)])
+    def test_tie_moves_to_lower_colour(self, monkeypatch, d, lazy):
+        params = validate_params(d, lazy, 0.7, 0.6)
+        K = params.K
+        first = np.eye(K)[0]
+        # step 2 after a first move to colour 0: n = 1, law = base + lam2 * e_0
+        sums = np.cumsum(base_step_rates(params) + (params.second_eigenvalue / 1) * first)
+        ties = sums[:-1]
+        second = np.concatenate([ties, np.nextafter(ties, 1.0)])
+        colour = np.concatenate([np.arange(K - 1), np.arange(1, K)])
+        counts = first + np.eye(K)[colour]
+        expected = (counts[:, 0 : 2 * d : 2] - counts[:, 1 : 2 * d : 2]).astype(np.int64)
+        rows = [np.array([0.5, u]) for u in second]
+        init = InitialSpec.fixed(0)
+
+        feed(monkeypatch, rows)
+        got = _simulate_block(params, init, 2, [2], 0, 0, len(rows), True)
+        feed(monkeypatch, rows)
+        want = reference_block(params, init, 2, [2], 0, 0, len(rows), True)
+        assert np.array_equal(got.samples[0], expected)
+        assert np.array_equal(want.samples[0], expected)
 
 
 class TestEngineAgainstExactLaw:
@@ -338,6 +389,76 @@ class TestRunEnsemble:
         assert abs(ratios[10_000] / ratios[1_000] - 1.0) < 0.10
 
 
+def same_summary(a, b) -> bool:
+    return all(
+        np.array_equal(x.mean, y.mean) and np.array_equal(x.cov, y.cov)
+        for x, y in zip(a.checkpoints, b.checkpoints, strict=True)
+    ) and all(np.array_equal(a.samples[n], b.samples[n]) for n in a.samples)
+
+
+class TestWorkerPool:
+    """Pooled calls share one pool per process. Each test drops the pool
+    first and pins two usable CPUs, so it starts at most two workers, and
+    starts them on a one-CPU host too."""
+
+    PARAMS = validate_params(1, True, 0.8, 0.9)
+
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        montecarlo._drop_pool()
+
+    def run(self, workers):
+        return run_ensemble(self.PARAMS, UNIFORM, 300, [30, 300], 41, seed=5, workers=workers,
+                            retain_samples=True)
+
+    @staticmethod
+    def worker_pids() -> set[int]:
+        return set(montecarlo._pool[2]._processes)
+
+    def test_calls_reuse_the_workers(self):
+        want = self.run(1)
+        assert same_summary(self.run(2), want)
+        pids = self.worker_pids()
+        assert same_summary(self.run(2), want)
+        assert self.worker_pids() == pids and len(pids) == 2
+
+    def test_killed_workers_are_replaced(self):
+        want = self.run(1)
+        self.run(2)
+        killed = self.worker_pids()
+        for pid in killed:
+            os.kill(pid, signal.SIGKILL)
+        assert same_summary(self.run(2), want)
+        assert len(self.worker_pids()) == 2 and not self.worker_pids() & killed
+
+    def test_forked_child_makes_its_own_pool(self):
+        want = self.run(2)
+        parent_pids = self.worker_pids()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = same_summary(self.run(2), want) and montecarlo._pool[0] == os.getpid()
+                ok = ok and not self.worker_pids() & parent_pids
+            finally:
+                montecarlo._drop_pool()
+                os.write(write_end, b"1" if ok else b"0")
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            reply = os.read(read_end, 1) if ready else b""
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert reply == b"1"
+        assert self.worker_pids() == parent_pids and same_summary(self.run(2), want)
+
+
 class TestScalingExponent:
     def test_deterministic_square_growth(self):
         params = validate_params(1, False, 1.0, 1.0)
@@ -459,6 +580,13 @@ class TestVerify:
         params = validate_params(1, False, 0.75, 1.0)
         with pytest.raises(ValueError):
             verify("clt-critical", params, VerifyBudget(n_steps=30, replicas=10, checkpoints=[]))
+
+    def test_single_checkpoint_rejected(self):
+        # the n log n drift needs two distinct checkpoints to compare
+        params = validate_params(1, False, 0.75, 1.0)
+        for marks in ([3_000], [3_000, 3_000]):
+            with pytest.raises(ValueError, match="two distinct checkpoints"):
+                verify("clt-critical", params, VerifyBudget(replicas=1_000, seed=7, checkpoints=marks))
 
     def test_default_budget_is_the_table_entry(self):
         for tag, (_, _, defaults) in montecarlo._VERIFIERS.items():
