@@ -447,6 +447,7 @@ class TestWorkerPool:
                 os.write(write_end, b"1" if ok else b"0")
                 os._exit(0)
         os.close(write_end)
+        ready = []
         try:
             ready, _, _ = select.select([read_end], [], [], 60)
             reply = os.read(read_end, 1) if ready else b""
