@@ -185,7 +185,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
         raise UsageError("phase-diagram needs --p-grid and --theta-grid")
     init = _parse_init(cfg.init)
     n_max = cfg.n_steps
-    marks = sorted(set(int(v) for v in np.geomspace(100, n_max, 5)))
+    marks = montecarlo.scaling_checkpoints(n_max, 5)
     lines = ["p,theta,regime,p_c,exponent_hat,exponent_se"]
     for th in cfg.theta_grid:
         for p in cfg.p_grid:

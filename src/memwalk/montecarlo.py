@@ -12,6 +12,7 @@ replicas, checkpoints) no matter how replicas are partitioned across
 workers, because moment accumulators are exact integer sums. Pooled calls
 share one worker pool per process, forked by the first such call and kept
 until exit, so module state patched after that fork does not reach it.
+Each worker ends when the process that made it ends, killed or not.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ import concurrent.futures
 import dataclasses
 import functools
 import itertools
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,6 +274,17 @@ def _process_count(workers: int, replicas: int, cpus: int) -> int:
 _pool = None  # (pid that made it, workers, executor): the process's one worker pool
 
 
+def _end_with_parent() -> None:
+    """Pool worker initializer: exit as soon as the parent process is gone."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 @atexit.register
 def _drop_pool() -> None:
     """Forget the worker pool, shutting it down if this process made it."""
@@ -302,7 +317,8 @@ def _run_blocks(
         # a forked child, or a call that needs more workers, makes a new pool
         if _pool is None or _pool[0] != os.getpid() or _pool[1] < len(tasks):
             _drop_pool()
-            _pool = (os.getpid(), len(tasks), concurrent.futures.ProcessPoolExecutor(len(tasks)))
+            executor = concurrent.futures.ProcessPoolExecutor(len(tasks), initializer=_end_with_parent)
+            _pool = (os.getpid(), len(tasks), executor)
         try:
             futures = [_pool[2].submit(_simulate_block, *args, lo, hi, retain) for lo, hi in tasks]
             return functools.reduce(_BlockSums.merge, [f.result() for f in futures])
@@ -370,6 +386,12 @@ def scaling_exponent(summary: EnsembleSummary) -> tuple[float, float]:
     dof = len(ns) - 2
     stderr = float(np.sqrt(resid @ resid / dof / (xc @ xc))) if dof > 0 else 0.0
     return slope, stderr
+
+
+def scaling_checkpoints(n_steps: int, count: int) -> list[int]:
+    """Up to ``count`` geometric checkpoints to n_steps; from n_steps = 100 on they span two decades."""
+    first = max(1, min(100, n_steps // 100))
+    return sorted(set(int(v) for v in np.geomspace(first, n_steps, count)))
 
 
 def cross_time_covariance(
@@ -592,8 +614,7 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
 def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     marks = budget.checkpoints
     if marks is None:
-        first = max(1, min(100, budget.n_steps // 100))
-        marks = [int(v) for v in np.geomspace(first, budget.n_steps, 7)]
+        marks = scaling_checkpoints(budget.n_steps, 7)
     summary = run_ensemble(
         params, budget.init, budget.n_steps, marks, budget.replicas, budget.seed, workers=budget.workers
     )

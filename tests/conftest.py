@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.stats import chi2
 
 from memwalk.model import InitialSpec, validate_params
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env() -> dict:
+    """This process's environment with src/ first on PYTHONPATH, for a child Python."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def chisquare_pvalue(observed: np.ndarray, probs: np.ndarray) -> float:

@@ -9,11 +9,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from memwalk import montecarlo
 from memwalk.cli import RunConfig, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name: str) -> dict:
@@ -51,6 +51,20 @@ class TestTheoryCommand:
         doc = json.loads(out)
         assert doc["regime"] == "superdiffusive"
         assert doc["superdiffusive"]["exponent"] == pytest.approx(1.6)
+
+    def test_runs_without_scipy(self):
+        # the superdiffusive document reaches the Hurwitz-zeta tails
+        script = (
+            "import sys\n"
+            "import memwalk\n"
+            "from memwalk import cli\n"
+            "code = cli.main(['theory', '--d', '1', '--theta', '1', '--p', '0.9'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stderr == "0 []\n"
+        assert "weight_square_series" in json.loads(proc.stdout)["superdiffusive"]
 
     def test_invalid_params_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--d", "1", "--theta", "1", "--p", "1.5")
@@ -113,8 +127,7 @@ class TestSimulateCommand:
     def test_pooled_run_exits_cleanly(self, tmp_path):
         # the pool's workers outlive each call; at exit they must end quietly,
         # and communicate() returns only once no worker holds the pipes
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = subprocess_env()
         argv = [sys.executable, "-m", "memwalk", "simulate", "--d", "1", "--theta", "1", "--p", "0.6",
                 "--steps", "100", "--checkpoints", "10,100", "--reps", "30", "--seed", "4",
                 "--workers", "2", "--out", str(tmp_path / "w2.csv")]
@@ -251,6 +264,23 @@ class TestPhaseDiagramCommand:
         # p = 1/K row estimates a diffusive exponent near 1
         assert abs(float(by_p[0.5][4]) - 1.0) < 0.25
         assert abs(float(by_p[0.9][4]) - 1.6) < 0.25
+
+    def test_default_steps_estimate_an_exponent(self, capsys):
+        # 1 000 steps: the checkpoints start at 10, so they span two decades
+        code, out, _ = run_cli(
+            capsys, "phase-diagram", "--d", "1", "--theta-grid", "1.0", "--p-grid", "0.6,0.9", "--seed", "3",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 2 and all(np.isfinite(float(r[4])) for r in rows)
+
+    def test_short_run_exits_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "phase-diagram", "--d", "1", "--theta-grid", "1.0", "--p-grid", "0.6", "--steps", "50",
+            "--reps", "20", "--seed", "3",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2
 
     def test_empty_grid_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "phase-diagram", "--d", "1")

@@ -1,11 +1,14 @@
 import os
 import select
 import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from conftest import chisquare_pvalue
+from conftest import chisquare_pvalue, subprocess_env
 from memwalk import montecarlo, oracle, theory, urn
 from memwalk.model import InitialSpec, ModelParams, base_step_rates, validate_params
 from memwalk.montecarlo import (
@@ -458,6 +461,49 @@ class TestWorkerPool:
             os.waitpid(pid, 0)
         assert reply == b"1"
         assert self.worker_pids() == parent_pids and same_summary(self.run(2), want)
+
+    @staticmethod
+    def running(pid: int) -> bool:
+        """Whether pid is a live process, a zombie counting as ended."""
+        try:
+            with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+                state = next(line for line in fh if line.startswith("State:"))
+        except FileNotFoundError:
+            return False
+        return state.split()[1] != "Z"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_workers_end_with_a_killed_parent(self):
+        script = (
+            "import time\n"
+            "from memwalk import montecarlo\n"
+            "from memwalk.model import InitialSpec, validate_params\n"
+            "montecarlo._usable_cpus = lambda: 2\n"
+            "params = validate_params(1, True, 0.8, 0.9)\n"
+            "montecarlo.run_ensemble(params, InitialSpec.uniform(), 30, [30], 8, seed=5, workers=2)\n"
+            "print(*montecarlo._pool[2]._processes, flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        # its own session, so its process group holds the workers too
+        proc = subprocess.Popen([sys.executable, "-c", script], env=subprocess_env(), stdout=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            workers = [int(pid) for pid in proc.stdout.readline().split()] if ready else []
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10.0
+            while any(map(self.running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(self.running, workers))
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestScalingExponent:

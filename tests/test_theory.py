@@ -316,6 +316,20 @@ class TestMartingaleCoefficients:
         assert np.all(np.isfinite(a)) and np.all(a >= 1.0)
 
 
+class TestHurwitzZeta:
+    Q = theory._LIMIT_HEAD + 1.0
+
+    # s in (1, 4] for _square_series, 2 and 3 for _drift_square_weight
+    @pytest.mark.parametrize("s", [*np.linspace(1.0, 4.0, 31)[1:], 1.0 + 1e-6, 1.001, 1.02, 2.0, 3.0])
+    def test_matches_scipy(self, s):
+        assert abs(theory._hurwitz_zeta(float(s), self.Q) / zeta(s, self.Q) - 1.0) < 1e-15
+
+    def test_underflows_to_zero(self):
+        # _square_series(50.0) asks for s = 100, 101, 102
+        assert [theory._hurwitz_zeta(s, self.Q) for s in (100.0, 101.0, 102.0)] == [0.0, 0.0, 0.0]
+        assert math.isfinite(theory._square_series(50.0))
+
+
 class TestSquareSeries:
     def test_basel_value(self):
         params = validate_params(1, False, 1.0, 1.0)  # rate 1: sum 1/k^2
