@@ -9,7 +9,11 @@ computed for a whole block of replicas at once; the draws are those of
 ``PCG64(replica_stream_seed(s, i))``. This derivation is part of the
 output contract: results are bit-identical for a fixed (seed, params,
 replicas, checkpoints) no matter how replicas are partitioned across
-workers, because moment accumulators are exact integer sums. Pooled calls
+workers, because moment accumulators are exact integer sums, and no matter
+how a worker splits its block into tiles. A tile runs _TILE_UNIT * (6K - 8)
+replicas together (at most _TILE_MAX), with uniforms drawn _CHUNK steps at
+a time, so a process holds at most one _CHUNK x _TILE_MAX float64 buffer
+(56 MiB; 16 MiB at K = 2), whatever the replica count. Pooled calls
 share one worker pool per process, forked by the first such call and kept
 until exit, so module state patched after that fork does not reach it.
 Each worker ends when the process that made it ends, killed or not.
@@ -38,8 +42,11 @@ from .theory import Regime, RegimeMismatchError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Upper bound on buffered uniforms per block (8M doubles = 64 MB).
-_BUFFER_BUDGET = 8_000_000
+#: Steps of uniforms drawn per refill of the buffer.
+_CHUNK = 1024
+#: A tile runs _TILE_UNIT * (6K - 8) replicas together, at most _TILE_MAX.
+_TILE_UNIT = 512
+_TILE_MAX = 7_168
 #: Replicas drawn together before their uniforms are transposed into the buffer.
 _REFILL_BLOCK = 128
 
@@ -161,11 +168,20 @@ def _simulate_block(
 ) -> _BlockSums:
     """Lockstep-vectorized walk of replicas [lo, hi) with private streams.
 
+    The range runs as the fewest tiles of near-equal width at most
+    min(_TILE_UNIT * (6K - 8), _TILE_MAX): a step costs 6K - 8 numpy
+    calls, so wider tiles at larger K keep the per-call overhead small.
+    Each tile seeds its own streams, runs all n steps and adds into the
+    block's integer sums and retained rows; one (min(n, _CHUNK) x width)
+    buffer and one refill block serve every tile. Replica streams are
+    independent, so the tiling changes no draw.
+
     Each replica consumes exactly one uniform per step from its own
-    generator, buffered in chunks step-major so that a step reads one
-    contiguous row. A refill draws the chunks of up to _REFILL_BLOCK
-    replicas into rows and transposes them into the buffer, which misses
-    the cache far less than writing each replica's column in turn.
+    generator, buffered in chunks of _CHUNK steps, step-major so that a
+    step reads one contiguous row. A refill draws the chunks of up to
+    _REFILL_BLOCK replicas into rows and transposes them into the buffer,
+    which misses the cache far less than writing each replica's column in
+    turn.
 
     The move inverts the exact one-step law base + (lam2/n) N, which is
     the two-branch law of the scalar sampler. Counts are K - 1 float64
@@ -187,74 +203,77 @@ def _simulate_block(
     """
     nrep = hi - lo
     K, d = params.K, params.d
-    gens = [np.random.Generator(np.random.PCG64(_Words(w))) for w in _stream_words(seed, lo, hi)]
-    chunk = max(64, min(n_steps, _BUFFER_BUDGET // max(nrep, 1), 4096))
-    buf = np.empty((chunk, nrep))
-    block = np.empty((min(nrep, _REFILL_BLOCK), chunk))
-    col = chunk  # forces an initial refill
-    remaining = n_steps
-
-    def next_row():
-        nonlocal col, remaining, chunk
-        if col >= chunk:
-            chunk = min(chunk, remaining)
-            for r0 in range(0, nrep, _REFILL_BLOCK):
-                part = block[: min(_REFILL_BLOCK, nrep - r0), :chunk]
-                for r, row in enumerate(part, r0):
-                    gens[r].random(out=row)
-                buf[:chunk, r0 : r0 + len(part)] = part.T
-            col = 0
-        u = buf[col]
-        col += 1
-        remaining -= 1
-        return u
-
-    cum = np.zeros((K - 1, nrep))
-    rows = list(cum)
+    tiles = -(-nrep // min(_TILE_UNIT * (6 * K - 8), _TILE_MAX))
+    edges = [lo + nrep * t // tiles for t in range(tiles + 1)]
+    width = -(-nrep // tiles)
+    chunk = min(n_steps, _CHUNK)
+    buf = np.empty((chunk, width))
+    block = np.empty((min(width, _REFILL_BLOCK), chunk))
     base = base_step_rates(params).tolist()
     lam2 = params.second_eigenvalue
-    acc, tmp = np.empty(nrep), np.empty(nrep)
-    hit = np.empty(nrep, dtype=bool)
+    cum0 = np.cumsum(init.distribution(params))
 
     sum_x = np.zeros((len(marks), d), dtype=np.int64)
     sum_xx = np.zeros((len(marks), d, d), dtype=np.int64)
-    samples: list[np.ndarray] | None = [None] * len(marks) if retain else None
-    pending = iter(enumerate(marks))
-    ci, next_mark = next(pending, (None, None))
+    samples = [np.empty((nrep, d), dtype=np.int64) for _ in marks] if retain else None
 
-    def record() -> None:
-        nonlocal ci, next_mark
-        counts = np.diff(cum, axis=0, prepend=0.0, append=float(next_mark))
-        pos = (counts[0 : 2 * d : 2] - counts[1 : 2 * d : 2]).astype(np.int64).T
-        sum_x[ci] += pos.sum(axis=0)
-        sum_xx[ci] += pos.T @ pos
-        if samples is not None:
-            samples[ci] = pos.copy()
+    for a, b in zip(edges, edges[1:]):
+        w = b - a
+        gens = [np.random.Generator(np.random.PCG64(_Words(v))) for v in _stream_words(seed, a, b)]
+        tile = buf[:, :w]
+
+        def refill(start: int) -> None:
+            size = min(chunk, n_steps - start)
+            for r0 in range(0, w, _REFILL_BLOCK):
+                part = block[: min(_REFILL_BLOCK, w - r0), :size]
+                for r, row in enumerate(part, r0):
+                    gens[r].random(out=row)
+                tile[:size, r0 : r0 + len(part)] = part.T
+
+        cum = np.zeros((K - 1, w))
+        rows = list(cum)
+        acc, tmp = np.empty(w), np.empty(w)
+        hit = np.empty(w, dtype=bool)
+        pending = iter(enumerate(marks))
         ci, next_mark = next(pending, (None, None))
 
-    # first step from the initial distribution
-    cum0 = np.cumsum(init.distribution(params))
-    first = np.minimum(np.searchsorted(cum0, next_row(), side="right"), K - 1)
-    cum[:] = first <= np.arange(K - 1)[:, None]
-    if next_mark == 1:
-        record()
+        def record() -> None:
+            nonlocal ci, next_mark
+            counts = np.diff(cum, axis=0, prepend=0.0, append=float(next_mark))
+            pos = (counts[0 : 2 * d : 2] - counts[1 : 2 * d : 2]).astype(np.int64).T
+            sum_x[ci] += pos.sum(axis=0)
+            sum_xx[ci] += pos.T @ pos
+            if samples is not None:
+                samples[ci][a - lo : b - lo] = pos
+            ci, next_mark = next(pending, (None, None))
 
-    for n in range(1, n_steps):
-        c = lam2 / n
-        u = next_row()
-        np.multiply(rows[0], c, out=acc)
-        np.add(acc, base[0], out=acc)
-        np.greater_equal(acc, u, out=hit)
-        for k in range(1, K - 1):
-            np.subtract(rows[k], rows[k - 1], out=tmp)
-            np.multiply(tmp, c, out=tmp)
-            np.add(tmp, base[k], out=tmp)
-            np.add(acc, tmp, out=acc)
-            np.add(rows[k - 1], hit, out=rows[k - 1])
-            np.greater_equal(acc, u, out=hit)
-        np.add(rows[-1], hit, out=rows[-1])
-        if next_mark == n + 1:
+        # first step from the initial distribution
+        refill(0)
+        first = np.minimum(np.searchsorted(cum0, tile[0], side="right"), K - 1)
+        cum[:] = first <= np.arange(K - 1)[:, None]
+        if next_mark == 1:
             record()
+
+        for n in range(1, n_steps):
+            col = n % chunk
+            if col == 0:
+                refill(n)
+            u = tile[col]
+            c = lam2 / n
+            np.multiply(rows[0], c, out=acc)
+            np.add(acc, base[0], out=acc)
+            np.greater_equal(acc, u, out=hit)
+            for k in range(1, K - 1):
+                np.subtract(rows[k], rows[k - 1], out=tmp)
+                np.multiply(tmp, c, out=tmp)
+                np.add(tmp, base[k], out=tmp)
+                np.add(acc, tmp, out=acc)
+                np.add(rows[k - 1], hit, out=rows[k - 1])
+                np.greater_equal(acc, u, out=hit)
+            np.add(rows[-1], hit, out=rows[-1])
+            if next_mark == n + 1:
+                record()
+        del gens  # the next tile seeds its streams without these alive
 
     return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
 

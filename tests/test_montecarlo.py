@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from conftest import chisquare_pvalue, subprocess_env
 from memwalk import montecarlo, oracle, theory, urn
 from memwalk.model import InitialSpec, ModelParams, base_step_rates, validate_params
 from memwalk.montecarlo import (
-    _BUFFER_BUDGET,
     VerifyBudget,
     _BlockSums,
     _simulate_block,
@@ -53,22 +53,7 @@ def reference_block(
         np.random.Generator(np.random.PCG64(replica_stream_seed(seed, i)))
         for i in range(lo, hi)
     ]
-    chunk = max(64, min(n_steps, _BUFFER_BUDGET // max(nrep, 1), 4096))
-    buf = np.empty((nrep, chunk))
-    col = chunk  # forces an initial refill
-    remaining = n_steps
-
-    def next_column():
-        nonlocal col, remaining, chunk
-        if col >= chunk:
-            chunk = min(chunk, remaining)
-            for r in range(nrep):
-                buf[r, :chunk] = gens[r].random(chunk)
-            col = 0
-        u = buf[:, col]
-        col += 1
-        remaining -= 1
-        return u
+    draws = np.array([g.random(n_steps) for g in gens])
 
     counts = np.zeros((nrep, K), dtype=np.int64)
     rows = np.arange(nrep)
@@ -92,15 +77,14 @@ def reference_block(
 
     # first step from the initial distribution
     cum0 = np.cumsum(init.distribution(params))
-    idx = np.minimum(np.searchsorted(cum0, next_column(), side="right"), K - 1)
+    idx = np.minimum(np.searchsorted(cum0, draws[:, 0], side="right"), K - 1)
     counts[rows, idx] = 1
     record(1)
 
     for n in range(1, n_steps):
         law = base[None, :] + (lam2 / n) * counts
         np.cumsum(law, axis=1, out=law)
-        u = next_column()
-        idx = np.minimum((law < u[:, None]).sum(axis=1), K - 1)
+        idx = np.minimum((law < draws[:, n, None]).sum(axis=1), K - 1)
         counts[rows, idx] += 1
         record(n + 1)
 
@@ -139,9 +123,20 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_matches_reference_across_refill(self, K):
-        # chunk is 4096 steps here, so the buffer is refilled at step 4097
+        # the buffer holds _CHUNK steps, so it is refilled at step _CHUNK + 1
+        chunk = montecarlo._CHUNK
         params = validate_params(K // 2, K % 2 == 1, 0.9, 0.7)
-        assert_same_block(params, UNIFORM, 4_200, [1, 4_096, 4_097, 4_200], 8, 3, 5)
+        assert_same_block(params, UNIFORM, chunk + 104, [1, chunk, chunk + 1, chunk + 104], 8, 3, 5)
+
+    @pytest.mark.parametrize("K, unit", [(2, montecarlo._TILE_UNIT), (2, 16), (5, 16)])
+    def test_matches_reference_over_tiles(self, monkeypatch, K, unit):
+        # a range just over two tile widths runs as three tiles that differ in
+        # width; a small unit keeps the K = 5 range and its reference small
+        monkeypatch.setattr(montecarlo, "_TILE_UNIT", unit)
+        width = min(unit * (6 * K - 8), montecarlo._TILE_MAX)
+        n = montecarlo._CHUNK + 76
+        params = validate_params(K // 2, K % 2 == 1, 0.8, 0.6)
+        assert_same_block(params, UNIFORM, n, [1, montecarlo._CHUNK, n], 17, 7, 7 + 2 * width + 42)
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_matches_reference_over_refill_blocks(self, K):
@@ -323,6 +318,18 @@ class TestRunEnsemble:
         params = validate_params(1, False, 0.5, 0.5)
         summary = run_ensemble(params, UNIFORM, 25, [], 8, seed=0)
         assert [cp.n for cp in summary.checkpoints] == [25]
+
+    def test_buffer_does_not_grow_with_replicas(self):
+        # numpy reports its buffers to tracemalloc; one (chunk x R) buffer
+        # would be 400 x 20 000 doubles, 61 MiB, here
+        params = validate_params(1, False, 0.7, 0.6)
+        tracemalloc.start()
+        try:
+            run_ensemble(params, UNIFORM, 1_500, [1_500], 20_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, peak / 2**20
 
     def test_deterministic_persistent_walk(self):
         params = validate_params(1, False, 1.0, 1.0)
