@@ -273,7 +273,7 @@ def _simulate_block(
             np.add(rows[-1], hit, out=rows[-1])
             if next_mark == n + 1:
                 record()
-        del gens  # the next tile seeds its streams without these alive
+        del gens  # free these generators before the next tile makes its own
 
     return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
 

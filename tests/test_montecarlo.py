@@ -320,8 +320,8 @@ class TestRunEnsemble:
         assert [cp.n for cp in summary.checkpoints] == [25]
 
     def test_buffer_does_not_grow_with_replicas(self):
-        # numpy reports its buffers to tracemalloc; one (chunk x R) buffer
-        # would be 400 x 20 000 doubles, 61 MiB, here
+        # numpy reports its buffers to tracemalloc; a uniform buffer spanning
+        # all 20 000 replicas would pass 24 MiB from 158 buffered steps on
         params = validate_params(1, False, 0.7, 0.6)
         tracemalloc.start()
         try:
