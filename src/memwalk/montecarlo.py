@@ -361,8 +361,8 @@ def run_ensemble(
     """Simulate R independent walks and summarize positions at checkpoints.
 
     Deterministic in (seed, params, replicas, checkpoints) regardless of
-    ``workers``, which is capped at the usable CPU count. An empty
-    checkpoint list records the final step only.
+    ``workers``, which is capped at the usable CPU count. The walks stop
+    at the last checkpoint, or at n_steps when the list is empty.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a sample covariance")
@@ -371,7 +371,7 @@ def run_ensemble(
     marks = sorted(set(int(c) for c in checkpoints)) or [n_steps]
     if marks[0] < 1 or marks[-1] > n_steps:
         raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
-    sums = _run_blocks(params, init, n_steps, marks, replicas, seed, workers, retain_samples)
+    sums = _run_blocks(params, init, marks[-1], marks, replicas, seed, workers, retain_samples)
     stats = []
     for ci, n in enumerate(marks):
         mean = sums.sum_x[ci] / replicas

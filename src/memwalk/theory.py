@@ -88,6 +88,16 @@ def lln_limit(params: ModelParams) -> np.ndarray:
     return out
 
 
+def _forcing(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """v = b / (1 - lam), the limit of N_n / n, and B0 = diag v - v v^T.
+
+    B0 is the limit of the forcing diag mu_n - mu_n mu_n^T of the count
+    covariance recursion in exact_moments; undefined at theta = p = 1.
+    """
+    v = base_step_rates(params) / (1.0 - params.second_eigenvalue)
+    return v, np.diag(v) - np.outer(v, v)
+
+
 @dataclass
 class SpectralData:
     """Eigensystem of the mean replacement matrix.
@@ -109,22 +119,17 @@ def spectral_decomposition(params: ModelParams) -> SpectralData:
     Fails when the secondary eigenvalue equals 1 (theta = p = 1), where
     the 1/(1 - lambda_2) normalization degenerates.
     """
-    K, p = params.K, params.p
+    K = params.K
     lam2 = params.second_eigenvalue
     if abs(1.0 - lam2) < 1e-14:
         raise ValueError("secondary eigenvalue equals 1; eigenvectors degenerate")
-    norm = (K - 1.0) * (1.0 - lam2)
-
-    left = np.zeros((K, K))
-    right = np.zeros((K, K))
-    left[0] = np.ones(K)
-    right[0] = np.full(K, (1.0 - p) / norm)
-    right[0, 0] = (K - 1.0) * (p - lam2) / norm
-    for j in range(1, K):
-        left[j] = np.full(K, (1.0 - p) / norm)
-        left[j, j] = ((K - 1.0) * lam2 - (K - 2.0) - p) / norm
-        right[j, 0] = 1.0
-        right[j, j] = -1.0
+    v = _forcing(params)[0]
+    # left[j] = v_j 1 - e_j, right[j] = e_0 - e_j (j >= 1): biorthogonal as v sums to one
+    left = v[:, None] - np.eye(K)
+    left[0] = 1.0
+    right = -np.eye(K)
+    right[:, 0] = 1.0
+    right[0] = v
 
     eigenvalues = np.full(K, lam2)
     eigenvalues[0] = 1.0
@@ -145,76 +150,48 @@ def _require_diffusive(params: ModelParams) -> None:
 def count_covariance_diffusive(params: ModelParams) -> np.ndarray:
     """Limiting covariance of the count fluctuations, diffusive regime.
 
-    C * M with C = (1-p) / ((K-1)^2 (1-lam)^2 (1-2lam)) and M the matrix
-    with first row/column ((K-1)a, -a, ..., -a), diagonal b and p-1
-    elsewhere, where a = (K-1)(p-lam) and b = (p-1) + (K-1)(1-lam).
-    Every row sums to zero: fluctuations preserve the total count.
+    Cov(N_n) / n -> B0 / (1 - 2 lam), B0 from ``_forcing``. Every row
+    sums to zero: fluctuations preserve the total count.
     """
     _require_diffusive(params)
-    K, p = params.K, params.p
-    lam = params.second_eigenvalue
-    a = (K - 1.0) * (p - lam)
-    b = (p - 1.0) + (K - 1.0) * (1.0 - lam)
-    c = (1.0 - p) / ((K - 1.0) ** 2 * (1.0 - lam) ** 2 * (1.0 - 2.0 * lam))
-    mat = np.full((K, K), p - 1.0)
-    mat[0, :] = -a
-    mat[:, 0] = -a
-    mat[0, 0] = (K - 1.0) * a
-    mat[np.arange(1, K), np.arange(1, K)] = b
-    return c * mat
+    return _forcing(params)[1] / (1.0 - 2.0 * params.second_eigenvalue)
 
 
 def count_covariance_critical(params: ModelParams) -> np.ndarray:
     """Limiting covariance of the count fluctuations on the boundary.
 
-    4 (1-p)/(K-1)^2 (p + (K-3)/2) times the matrix with (K-1) in the
-    corner, -1 along the first row/column and the identity elsewhere.
+    Cov(N_n) / (n log n) -> B0 from ``_forcing``: at 2 lam = 1 the
+    covariance recursion adds B0 with weight n / k at each k <= n.
     """
     if classify_regime(params) is not Regime.CRITICAL:
         raise RegimeMismatchError("operation requires 2*lambda_2 = 1")
-    K, p = params.K, params.p
-    pref = 4.0 * (1.0 - p) / (K - 1.0) ** 2 * (p + (K - 3.0) / 2.0)
-    mat = np.eye(K)
-    mat[0, :] = -1.0
-    mat[:, 0] = -1.0
-    mat[0, 0] = K - 1.0
-    return pref * mat
+    return _forcing(params)[1]
 
 
 def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Cross-time covariance of the rescaled position, diffusive regime.
 
-    E(W_s W_t^T) = s (t/s)^lam * omega * diag((K+1)alpha + beta + p - 1,
-    2 beta, ..., 2 beta) with alpha = (K-1)p + theta(1-Kp),
-    beta = K-1 + theta(1-Kp), omega = (K-1)(1-p) / (beta^2 (K-1 + 2theta(1-Kp))).
+    E(W_s W_t^T) = s (t/s)^lam P C P^T with C = count_covariance_diffusive
+    and P = urn.pairing_matrix.
     """
-    _require_diffusive(params)
+    counts = count_covariance_diffusive(params)
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
-    K, p, theta = params.K, params.p, params.theta
-    lam = params.second_eigenvalue
-    alpha = (K - 1.0) * p + theta * (1.0 - K * p)
-    beta = K - 1.0 + theta * (1.0 - K * p)
-    omega = (K - 1.0) * (1.0 - p) / (beta**2 * (K - 1.0 + 2.0 * theta * (1.0 - K * p)))
-    diag = np.full(params.d, 2.0 * beta)
-    diag[0] = (K + 1.0) * alpha + beta + p - 1.0
-    return s * (t / s) ** lam * omega * np.diag(diag)
+    proj = urn.pairing_matrix(params.d, params.lazy)
+    return s * (t / s) ** params.second_eigenvalue * (proj @ counts @ proj.T)
 
 
 def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Cross-time covariance of the rescaled position on the boundary.
 
-    4s (1-p)/(K-1)^2 (p + (K-3)/2) * diag(K+2, 2, ..., 2); constant in t.
+    s P B0 P^T, constant in t, with B0 = count_covariance_critical and
+    P = urn.pairing_matrix; I_d / d at theta = 1.
     """
-    if classify_regime(params) is not Regime.CRITICAL:
-        raise RegimeMismatchError("operation requires 2*lambda_2 = 1")
+    counts = count_covariance_critical(params)
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
-    K, p = params.K, params.p
-    pref = 4.0 * s * (1.0 - p) / (K - 1.0) ** 2 * (p + (K - 3.0) / 2.0)
-    diag = np.full(params.d, 2.0)
-    diag[0] = K + 2.0
-    return pref * np.diag(diag)
+    proj = urn.pairing_matrix(params.d, params.lazy)
+    return s * (proj @ counts @ proj.T)
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
@@ -458,14 +435,12 @@ def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
         raise RegimeMismatchError("limit moments exist only in the superdiffusive regime")
     r = params.second_eigenvalue
     pi = init.distribution(params)
-    if params.theta == 1.0 and params.p == 1.0:
-        v = pi
-    else:
-        v = base_step_rates(params) / (1.0 - r)
+    sigma1 = np.diag(pi) - np.outer(pi, pi)
+    v, b0 = (pi, sigma1) if params.theta == 1.0 and params.p == 1.0 else _forcing(params)
     w = pi - v
     counts = (
-        np.diag(pi) - np.outer(pi, pi)
-        + (np.diag(v) - np.outer(v, v)) / (2.0 * r - 1.0)
+        sigma1
+        + b0 / (2.0 * r - 1.0)
         + np.diag(w) - np.outer(v, w) - np.outer(w, v)
         - _drift_square_weight(r) * np.outer(w, w)
     ) / math.gamma(1.0 + 2.0 * r)

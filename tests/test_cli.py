@@ -101,6 +101,26 @@ class TestSimulateCommand:
         for line in lines[1:]:
             assert len(line.split(",")) == expected_cols
 
+    def test_walks_stop_at_the_last_checkpoint(self, monkeypatch, tmp_path):
+        steps_run = []
+        block = montecarlo._simulate_block
+
+        def spy(params, init, n_steps, *rest):
+            steps_run.append(n_steps)
+            return block(params, init, n_steps, *rest)
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", spy)
+        paths = []
+        for steps in ("10000", "100"):
+            paths.append(tmp_path / f"{steps}.csv")
+            code = main([
+                "simulate", "--d", "2", "--theta", "0.8", "--p", "0.6", "--steps", steps,
+                "--checkpoints", "100", "--reps", "30", "--seed", "3", "--out", str(paths[-1]),
+            ])
+            assert code == 0
+        assert steps_run == [100, 100]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "w.csv"
         main([

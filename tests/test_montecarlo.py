@@ -642,6 +642,13 @@ class TestVerify:
             with pytest.raises(ValueError, match="two distinct checkpoints"):
                 verify("clt-critical", params, VerifyBudget(replicas=1_000, seed=7, checkpoints=marks))
 
+    def test_clt_critical_beyond_two_moves(self):
+        # d = 2, theta = 1: the critical covariance is I_2 / 2, trace 1
+        params = validate_params(2, False, theory.critical_probability(4, 1.0), 1.0)
+        report = verify("clt-critical", params, default_budget("clt-critical", seed=11, workers=2))
+        assert report.theoretical["trace_over_nlogn"] == pytest.approx(1.0, rel=1e-14)
+        assert report.passed, report.discrepancy
+
     def test_default_budget_is_the_table_entry(self):
         for tag, (_, _, defaults) in montecarlo._VERIFIERS.items():
             budget = default_budget(tag)

@@ -252,8 +252,10 @@ class TestPositionCovariances:
             diffusive_covariance(params, 2.0, 1.0)
 
     def test_critical_example_value(self):
-        params = validate_params(1, False, 0.75, 1.0)
-        assert np.allclose(critical_covariance(params, 1.0, 1.0), [[1.0]], atol=1e-14)
+        # I_d / d at theta = 1, the multidimensional elephant walk's value
+        for d in (1, 2, 3):
+            params = validate_params(d, False, critical_probability(2 * d, 1.0), 1.0)
+            assert np.allclose(critical_covariance(params, 1.0, 1.0), np.eye(d) / d, atol=1e-14)
 
     def test_critical_linear_in_s(self):
         params = validate_params(1, False, 0.75, 1.0)
@@ -273,6 +275,47 @@ class TestPositionCovariances:
                 continue
             assert np.abs(mat - mat.T).max() < 1e-12
             assert np.linalg.eigvalsh(mat).min() > -1e-10
+
+
+def exact_covariances(params, n_max):
+    """Exact Cov(S_n) and Cov(N_n) for n = 1..n_max from exact_moments."""
+    table = exact_moments(params, InitialSpec.uniform(), n_max)
+    counts = table.counts_second - np.einsum("ni,nj->nij", table.mean_counts, table.mean_counts)
+    return table.position_cov, counts
+
+
+def max_rel(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestLimitsAgainstExactEngine:
+    """The limit covariances against the exact engine's asymptotics."""
+
+    N = 50_000
+
+    @pytest.mark.parametrize("d, lazy, th", [
+        (1, False, 1.0), (1, False, 0.8), (1, True, 1.0), (1, True, 0.8),
+        (2, False, 1.0), (2, False, 0.8), (2, True, 1.0), (2, True, 0.8),
+    ])
+    def test_critical_n_log_n_slope(self, d, lazy, th):
+        # Sigma_n / n = C log n + O(1), so its increment over n -> 2n is C ln 2
+        params = validate_params(d, lazy, critical_probability(2 * d + lazy, th), th)
+        n = self.N
+        for cov, want in zip(exact_covariances(params, 2 * n),
+                             (critical_covariance(params, 1.0, 1.0), count_covariance_critical(params))):
+            slope = (cov[2 * n - 1] / (2 * n) - cov[n - 1] / n) / math.log(2.0)
+            assert max_rel(slope, want) < 1e-2
+
+    @pytest.mark.parametrize("d, lazy, p, th", [(1, True, 0.6, 0.8), (2, False, 0.5, 1.0), (2, True, 0.5, 0.6)])
+    def test_diffusive_limit(self, d, lazy, p, th):
+        # Sigma_n / n = C + c n^(2 lam - 1) + ...; Richardson over n and 2n removes c
+        params = validate_params(d, lazy, p, th)
+        n = self.N
+        g = 2.0 ** (2.0 * params.second_eigenvalue - 1.0)
+        for cov, want in zip(exact_covariances(params, 2 * n),
+                             (diffusive_covariance(params, 1.0, 1.0), count_covariance_diffusive(params))):
+            limit = (cov[2 * n - 1] / (2 * n) - g * cov[n - 1] / n) / (1.0 - g)
+            assert max_rel(limit, want) < 1e-3
 
 
 class TestMartingaleCoefficients:
