@@ -83,6 +83,11 @@ def _parse_init(spec: str) -> InitialSpec:
     raise UsageError(f"bad --init value {spec!r}; use uniform, fixed:IDX or custom:FILE")
 
 
+def _parse_checkpoints(text: str) -> list[int]:
+    """Comma-separated steps."""
+    return [int(v) for v in text.split(",") if v]
+
+
 def _parse_grid(text: str) -> list[float]:
     """Either comma-separated values or start:stop:count."""
     if ":" in text:
@@ -107,11 +112,9 @@ def cmd_theory(cfg: RunConfig) -> int:
         "memory_gain": params.memory_gain,
         "second_eigenvalue": params.second_eigenvalue,
         "regime": regime.value,
-        "critical_probability": None,
+        "critical_probability": theory.critical_probability(params.K, params.theta) if params.theta > 0.0 else None,
         "lln_limit": None,
     }
-    if params.theta > 0.0:
-        doc["critical_probability"] = theory.critical_probability(params.K, params.theta)
     try:
         doc["lln_limit"] = theory.lln_limit(params).tolist()
     except ValueError:
@@ -195,17 +198,13 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
             summary = montecarlo.run_ensemble(
                 params, init, n_max, marks, cfg.replicas, cfg.seed, workers=cfg.workers
             )
-            slope, se = scaling_or_nan(summary)
+            try:
+                slope, se = montecarlo.scaling_exponent(summary)
+            except ValueError:
+                slope, se = float("nan"), float("nan")
             lines.append(_csv_row([float(p), float(th), regime.value, float(pc), slope, se]))
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return 0
-
-
-def scaling_or_nan(summary) -> tuple[float, float]:
-    try:
-        return montecarlo.scaling_exponent(summary)
-    except ValueError:
-        return float("nan"), float("nan")
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -223,63 +222,61 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return 0
 
 
+#: Every flag and its argparse keywords; each _COMMANDS entry names the ones it reads.
+_FLAGS = {
+    "--config": dict(help="JSON file with RunConfig defaults"),
+    "--d": dict(type=int, help="spatial dimension"),
+    "--lazy": dict(action="store_true", default=None, help="include the stay-put move (K = 2d + 1)"),
+    "--p": dict(type=float, help="repeat/bias strength in [0, 1]"),
+    "--theta": dict(type=float, help="memory branch probability in [0, 1]"),
+    "--init": dict(help="first step law: uniform | fixed:IDX | custom:FILE"),
+    "--steps": dict(type=int, dest="n_steps", help="number of steps per walk"),
+    "--checkpoints": dict(type=_parse_checkpoints, help="comma-separated recording steps"),
+    "--reps": dict(type=int, dest="replicas", help="number of replicas"),
+    "--seed": dict(type=int, help="64-bit master seed"),
+    "--workers": dict(type=int, help="parallel worker cap"),
+    "--out": dict(help="output path (default stdout)"),
+    "--tag": dict(choices=sorted(montecarlo._VERIFIERS), help="claim to verify"),
+    "--p-grid": dict(type=_parse_grid, help="p values: a,b,c or start:stop:count"),
+    "--theta-grid": dict(type=_parse_grid, help="theta values: a,b,c or start:stop:count"),
+}
+
+#: Per subcommand: its function, its help line and the flags it reads besides --config.
 _COMMANDS = {
-    "theory": cmd_theory,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "phase-diagram": cmd_phase_diagram,
-    "oracle": cmd_oracle,
+    "theory": (cmd_theory, "closed-form predictions for one parameter point (JSON)",
+               "--d --lazy --p --theta --init --out"),
+    "simulate": (cmd_simulate, "ensemble simulation summaries at checkpoints (CSV)",
+                 "--d --lazy --p --theta --init --steps --checkpoints --reps --seed --workers --out"),
+    "verify": (cmd_verify, "statistical verification of one asymptotic claim (JSON)",
+               "--d --lazy --p --theta --init --steps --checkpoints --reps --seed --workers --out --tag"),
+    "phase-diagram": (cmd_phase_diagram, "regime and scaling exponent over a parameter grid (CSV)",
+                      "--d --lazy --init --steps --reps --seed --workers --out --p-grid --theta-grid"),
+    "oracle": (cmd_oracle, "exact enumeration of a small instance (JSON)",
+               "--d --lazy --p --theta --init --steps --out"),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="memwalk", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("theory", "closed-form predictions for one parameter point (JSON)"),
-        ("simulate", "ensemble simulation summaries at checkpoints (CSV)"),
-        ("verify", "statistical verification of one asymptotic claim (JSON)"),
-        ("phase-diagram", "regime and scaling exponent over a parameter grid (CSV)"),
-        ("oracle", "exact enumeration of a small instance (JSON)"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="JSON file with RunConfig defaults")
-        sp.add_argument("--d", type=int, help="spatial dimension")
-        sp.add_argument("--lazy", action="store_true", default=None, help="include the stay-put move (K = 2d + 1)")
-        sp.add_argument("--p", type=float, help="repeat/bias strength in [0, 1]")
-        sp.add_argument("--theta", type=float, help="memory branch probability in [0, 1]")
-        sp.add_argument("--init", help="first step law: uniform | fixed:IDX | custom:FILE")
-        sp.add_argument("--steps", type=int, dest="n_steps", help="number of steps per walk")
-        sp.add_argument("--checkpoints", help="comma-separated recording steps")
-        sp.add_argument("--reps", type=int, dest="replicas", help="number of replicas")
-        sp.add_argument("--seed", type=int, help="64-bit master seed")
-        sp.add_argument("--workers", type=int, help="parallel worker cap")
-        sp.add_argument("--out", help="output path (default stdout)")
-        if name == "verify":
-            sp.add_argument("--tag", choices=sorted(montecarlo._VERIFIERS), help="claim to verify")
-        if name == "phase-diagram":
-            sp.add_argument("--p-grid", dest="p_grid", help="p values: a,b,c or start:stop:count")
-            sp.add_argument("--theta-grid", dest="theta_grid", help="theta values: a,b,c or start:stop:count")
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: phase-diagram would read --p as --p-grid
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in ["--config", *flags.split()]:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+    path = vars(args).pop("config")
+    cfg = RunConfig(subcommand=args.subcommand)
+    if path:
+        with open(path, encoding="utf-8") as fh:
             cfg = RunConfig.from_json(fh.read())
-        cfg.subcommand = args.subcommand
-    else:
-        cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("d", "lazy", "p", "theta", "init", "n_steps", "replicas", "seed", "workers", "out", "tag"):
-        value = getattr(args, name, None)
+    # the flags given, subcommand included, override the file
+    for name, value in vars(args).items():
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "checkpoints", None) is not None:
-        cfg.checkpoints = [int(v) for v in args.checkpoints.split(",") if v]
-    if getattr(args, "p_grid", None) is not None:
-        cfg.p_grid = _parse_grid(args.p_grid)
-    if getattr(args, "theta_grid", None) is not None:
-        cfg.theta_grid = _parse_grid(args.theta_grid)
     if cfg.subcommand != "verify":
         # verify takes unset sizes from the tag's budget in montecarlo._VERIFIERS
         cfg.n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
@@ -295,7 +292,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.subcommand](cfg)
+        return _COMMANDS[cfg.subcommand][0](cfg)
     except (UsageError, RegimeMismatchError, ValueError, OSError) as exc:
         print(f"memwalk: error: {exc}", file=sys.stderr)
         return 1

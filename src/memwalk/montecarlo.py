@@ -49,6 +49,8 @@ _TILE_UNIT = 512
 _TILE_MAX = 7_168
 #: Replicas drawn together before their uniforms are transposed into the buffer.
 _REFILL_BLOCK = 128
+#: Gate, in standard errors, of every per-scalar check in the verifiers.
+_TOLERANCE_SE = 4.0
 
 
 def replica_stream_seed(seed: int, replica: int) -> int:
@@ -156,6 +158,16 @@ class _BlockSums:
         )
 
 
+def _refill(tile: np.ndarray, block: np.ndarray, gens: list, size: int) -> None:
+    """Draw the next ``size`` uniforms of stream ``gens[r]`` into rows [0, size) of column r."""
+    w = len(gens)
+    for r0 in range(0, w, _REFILL_BLOCK):
+        part = block[: min(_REFILL_BLOCK, w - r0), :size]
+        for r, row in enumerate(part, r0):
+            gens[r].random(out=row)
+        tile[:size, r0 : r0 + len(part)] = part.T
+
+
 def _simulate_block(
     params: ModelParams,
     init: InitialSpec,
@@ -171,10 +183,11 @@ def _simulate_block(
     The range runs as the fewest tiles of near-equal width at most
     min(_TILE_UNIT * (6K - 8), _TILE_MAX): a step costs 6K - 8 numpy
     calls, so wider tiles at larger K keep the per-call overhead small.
-    Each tile seeds its own streams, runs all n steps and adds into the
-    block's integer sums and retained rows; one (min(n, _CHUNK) x width)
-    buffer and one refill block serve every tile. Replica streams are
-    independent, so the tiling changes no draw.
+    Each tile seeds its own streams, takes the first step and walks mark
+    to mark, adding the positions at each mark into the block's integer
+    sums and retained rows. One (min(n, _CHUNK) x width) buffer and one
+    refill block serve every tile. Replica streams are independent, so
+    the tiling changes no draw.
 
     Each replica consumes exactly one uniform per step from its own
     generator, buffered in chunks of _CHUNK steps, step-major so that a
@@ -221,58 +234,41 @@ def _simulate_block(
         w = b - a
         gens = [np.random.Generator(np.random.PCG64(_Words(v))) for v in _stream_words(seed, a, b)]
         tile = buf[:, :w]
-
-        def refill(start: int) -> None:
-            size = min(chunk, n_steps - start)
-            for r0 in range(0, w, _REFILL_BLOCK):
-                part = block[: min(_REFILL_BLOCK, w - r0), :size]
-                for r, row in enumerate(part, r0):
-                    gens[r].random(out=row)
-                tile[:size, r0 : r0 + len(part)] = part.T
-
         cum = np.zeros((K - 1, w))
         rows = list(cum)
         acc, tmp = np.empty(w), np.empty(w)
         hit = np.empty(w, dtype=bool)
-        pending = iter(enumerate(marks))
-        ci, next_mark = next(pending, (None, None))
 
-        def record() -> None:
-            nonlocal ci, next_mark
-            counts = np.diff(cum, axis=0, prepend=0.0, append=float(next_mark))
+        # first step from the initial distribution; here a tie moves past the partial sum
+        _refill(tile, block, gens, chunk)
+        first = np.minimum(np.searchsorted(cum0, tile[0], side="right"), K - 1)
+        cum[:] = first <= np.arange(K - 1)[:, None]
+
+        # walk on from the previous mark (from the first step, for the first mark), then record
+        for ci, (start, mark) in enumerate(zip([1, *marks], marks)):
+            for n in range(start, mark):
+                col = n % chunk
+                if col == 0:
+                    _refill(tile, block, gens, min(chunk, n_steps - n))
+                u = tile[col]
+                c = lam2 / n
+                np.multiply(rows[0], c, out=acc)
+                np.add(acc, base[0], out=acc)
+                np.greater_equal(acc, u, out=hit)
+                for k in range(1, K - 1):
+                    np.subtract(rows[k], rows[k - 1], out=tmp)
+                    np.multiply(tmp, c, out=tmp)
+                    np.add(tmp, base[k], out=tmp)
+                    np.add(acc, tmp, out=acc)
+                    np.add(rows[k - 1], hit, out=rows[k - 1])
+                    np.greater_equal(acc, u, out=hit)
+                np.add(rows[-1], hit, out=rows[-1])
+            counts = np.diff(cum, axis=0, prepend=0.0, append=float(mark))
             pos = (counts[0 : 2 * d : 2] - counts[1 : 2 * d : 2]).astype(np.int64).T
             sum_x[ci] += pos.sum(axis=0)
             sum_xx[ci] += pos.T @ pos
             if samples is not None:
                 samples[ci][a - lo : b - lo] = pos
-            ci, next_mark = next(pending, (None, None))
-
-        # first step from the initial distribution
-        refill(0)
-        first = np.minimum(np.searchsorted(cum0, tile[0], side="right"), K - 1)
-        cum[:] = first <= np.arange(K - 1)[:, None]
-        if next_mark == 1:
-            record()
-
-        for n in range(1, n_steps):
-            col = n % chunk
-            if col == 0:
-                refill(n)
-            u = tile[col]
-            c = lam2 / n
-            np.multiply(rows[0], c, out=acc)
-            np.add(acc, base[0], out=acc)
-            np.greater_equal(acc, u, out=hit)
-            for k in range(1, K - 1):
-                np.subtract(rows[k], rows[k - 1], out=tmp)
-                np.multiply(tmp, c, out=tmp)
-                np.add(tmp, base[k], out=tmp)
-                np.add(acc, tmp, out=acc)
-                np.add(rows[k - 1], hit, out=rows[k - 1])
-                np.greater_equal(acc, u, out=hit)
-            np.add(rows[-1], hit, out=rows[-1])
-            if next_mark == n + 1:
-                record()
         del gens  # free these generators before the next tile makes its own
 
     return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
@@ -327,7 +323,7 @@ def _run_blocks(
         raise ValueError("replicas * n_steps^2 too large for exact integer accumulation")
     workers = _process_count(workers, replicas, _usable_cpus())
     bounds = np.linspace(0, replicas, workers + 1, dtype=int)
-    tasks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    tasks = list(zip(bounds, bounds[1:]))
     if len(tasks) == 1:
         return _simulate_block(params, init, n_steps, marks, seed, 0, replicas, retain)
     global _pool
@@ -382,6 +378,14 @@ def run_ensemble(
     return EnsembleSummary(params=params, replicas=replicas, seed=seed, checkpoints=stats, samples=samples)
 
 
+def _require_scaling_span(marks) -> None:
+    """Raise unless the distinct ``marks`` are at least 3 and span two decades."""
+    if len(set(marks)) < 3:
+        raise ValueError("need at least 3 checkpoints")
+    if max(marks) < 100 * min(marks):
+        raise ValueError("checkpoints must span at least two decades")
+
+
 def scaling_exponent(summary: EnsembleSummary) -> tuple[float, float]:
     """Slope of log trace-covariance against log n, with its stderr.
 
@@ -389,12 +393,9 @@ def scaling_exponent(summary: EnsembleSummary) -> tuple[float, float]:
     estimates twice the growth exponent of the position fluctuations:
     1 in the diffusive regime, 2*second_eigenvalue beyond the boundary.
     """
-    ns = np.array([cp.n for cp in summary.checkpoints], dtype=float)
+    ns = [cp.n for cp in summary.checkpoints]
+    _require_scaling_span(ns)
     traces = np.array([np.trace(cp.cov) for cp in summary.checkpoints])
-    if len(ns) < 3:
-        raise ValueError("need at least 3 checkpoints")
-    if ns.max() / ns.min() < 100.0:
-        raise ValueError("checkpoints must span at least two decades")
     if np.any(traces <= 0.0):
         raise ValueError("degenerate (zero-variance) checkpoint")
     x = np.log(ns)
@@ -402,8 +403,7 @@ def scaling_exponent(summary: EnsembleSummary) -> tuple[float, float]:
     xc = x - x.mean()
     slope = float(xc @ (y - y.mean()) / (xc @ xc))
     resid = y - y.mean() - slope * xc
-    dof = len(ns) - 2
-    stderr = float(np.sqrt(resid @ resid / dof / (xc @ xc))) if dof > 0 else 0.0
+    stderr = float(np.sqrt(resid @ resid / (len(ns) - 2) / (xc @ xc)))
     return slope, stderr
 
 
@@ -500,7 +500,6 @@ class VerifyBudget:
     init: InitialSpec = field(default_factory=InitialSpec.uniform)
     workers: int = 1
     cross_time: tuple[float, float, int] | None = None
-    tolerance_se: float = 4.0
     tolerance_rel: float | None = None
 
 
@@ -551,21 +550,21 @@ def json_ready(obj):
 
 def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
+    limit = theory.lln_limit(params)  # raises on degenerate parameters before any walk
     summary = run_ensemble(
         params, budget.init, n, [n], budget.replicas, budget.seed, workers=budget.workers
     )
     cp = summary.at(n)
-    limit = theory.lln_limit(params)
     emp = cp.mean / n
     se = cp.stderr / n
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, np.abs(emp - limit) / se, np.where(np.abs(emp - limit) < 1e-12, 0.0, np.inf))
     return dict(
-        passed=bool(np.all(z <= budget.tolerance_se)),
+        passed=bool(np.all(z <= _TOLERANCE_SE)),
         theoretical={"limit": limit},
         empirical={"mean_over_n": emp, "stderr": se},
         discrepancy={"se_units": z},
-        tolerance={"se_units": budget.tolerance_se},
+        tolerance={"se_units": _TOLERANCE_SE},
     )
 
 
@@ -582,12 +581,12 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     # asymptotic SE of a Gaussian sample covariance entry
     se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / R)
     z = np.abs(emp - th) / np.where(se > 0, se, np.inf)
-    cov_pass = bool(np.all(z <= budget.tolerance_se))
+    cov_pass = bool(np.all(z <= _TOLERANCE_SE))
 
     shapes = gaussianity_check(summary.samples[n])
     shape_z = [(s.skew_z, s.kurt_z) for s in shapes]
     shape_pass = all(
-        not s.degenerate and abs(s.skew_z) <= budget.tolerance_se and abs(s.kurt_z) <= budget.tolerance_se
+        not s.degenerate and abs(s.skew_z) <= _TOLERANCE_SE and abs(s.kurt_z) <= _TOLERANCE_SE
         for s in shapes
     )
 
@@ -604,7 +603,7 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
         empirical={"covariance_over_n": emp, "cross_time": cross_emp,
                    "shape_z": shape_z},
         discrepancy={"covariance_se_units": z, "cross_time_rel": cross_rel},
-        tolerance={"se_units": budget.tolerance_se, "cross_time_rel": budget.tolerance_rel},
+        tolerance={"se_units": _TOLERANCE_SE, "cross_time_rel": budget.tolerance_rel},
     )
 
 
@@ -634,6 +633,7 @@ def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     marks = budget.checkpoints
     if marks is None:
         marks = scaling_checkpoints(budget.n_steps, 7)
+    _require_scaling_span(marks)
     summary = run_ensemble(
         params, budget.init, budget.n_steps, marks, budget.replicas, budget.seed, workers=budget.workers
     )
@@ -669,14 +669,14 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
     se_l = cp.stderr / float(n) ** r
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_z = np.where(se_l > 0, np.abs(mean_l) / se_l, 0.0)
-    mean_pass = bool(np.all(mean_z <= budget.tolerance_se))
+    mean_pass = bool(np.all(mean_z <= _TOLERANCE_SE))
 
     return dict(
         passed=bool(rel <= tol and mean_pass),
         theoretical={"second_moment": limit.second_moment, "mean": limit.mean},
         empirical={"second_moment": emp_second, "mean": mean_l, "mean_se": se_l},
         discrepancy={"second_moment_rel": rel, "mean_se_units": mean_z},
-        tolerance={"second_moment_rel": tol, "mean_se_units": budget.tolerance_se},
+        tolerance={"second_moment_rel": tol, "mean_se_units": _TOLERANCE_SE},
     )
 
 
@@ -712,7 +712,9 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     the tag is about.
     """
     budget = default_budget(tag, **vars(budget or VerifyBudget()))
-    if tag in ("clt-critical", "superdiffusive") and budget.checkpoints is not None:
+    if budget.checkpoints is not None:
+        if tag not in ("clt-critical", "superdiffusive"):
+            raise ValueError(f"tag {tag} reads no checkpoints, got {budget.checkpoints}")
         # these ensembles run to their last checkpoint, whatever n_steps says
         budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints))
     verifier, regimes, _ = _VERIFIERS[tag]

@@ -374,6 +374,35 @@ class TestUsageContract:
         for name in ("theory", "simulate", "verify", "phase-diagram", "oracle"):
             assert name in out
 
+    @pytest.mark.parametrize("command, flag", [
+        *[("theory", flag) for flag in ("--steps", "--checkpoints", "--reps", "--seed", "--workers")],
+        *[("oracle", flag) for flag in ("--checkpoints", "--reps", "--seed", "--workers")],
+        *[("phase-diagram", flag) for flag in ("--p", "--theta", "--checkpoints")],
+    ])
+    def test_unread_flag_rejected(self, capsys, command, flag):
+        # each of these runs with the flag left out; with abbreviations
+        # allowed, phase-diagram would take --p for --p-grid and run
+        valid = {
+            "theory": ["--d", "1", "--theta", "1", "--p", "0.75"],
+            "oracle": ["--d", "1", "--theta", "1", "--p", "0.75", "--steps", "2"],
+            "phase-diagram": ["--d", "1", "--p-grid", "0.6", "--theta-grid", "1", "--steps", "50", "--reps", "20"],
+        }
+        code, out, err = run_cli(capsys, command, *valid[command], flag, "1")
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_abbreviated_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--d", "1", "--theta", "1", "--p", "0.6", "--steps", "10",
+                                 "--rep", "10")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --rep" in err
+
+    def test_checkpoints_rejected_by_a_tag_that_ignores_them(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--tag", "lln", "--d", "1", "--theta", "0.3", "--p", "0.8",
+                                 "--steps", "10", "--reps", "10", "--checkpoints", "10")
+        assert (code, out) == (1, "")
+        assert "reads no checkpoints" in err
+
     def test_subcommand_help_lists_flags(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--help")
         assert code == 0

@@ -145,6 +145,15 @@ class TestKernelReference:
         params = validate_params(K // 2, K % 2 == 1, 0.2, 0.3)
         assert_same_block(params, InitialSpec.fixed(K - 1), 200, [1, 199, 200], 13, 3, hi)
 
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    @pytest.mark.parametrize("start", ["uniform", "fixed"])
+    @pytest.mark.parametrize("n_steps, marks", [(1, [1]), (3, [1, 2, 3])])
+    def test_matches_reference_at_back_to_back_marks(self, K, start, n_steps, marks):
+        # a one-step walk, and a mark after every step
+        init = UNIFORM if start == "uniform" else InitialSpec.fixed(K - 1)
+        params = validate_params(K // 2, K % 2 == 1, 0.7, 0.6)
+        assert_same_block(params, init, n_steps, marks, 29, 4, 41)
+
 
 class TestCumulativeRule:
     """_simulate_block takes "move <= k" as "partial sum k >= u". That is the
@@ -641,6 +650,34 @@ class TestVerify:
         for marks in ([3_000], [3_000, 3_000]):
             with pytest.raises(ValueError, match="two distinct checkpoints"):
                 verify("clt-critical", params, VerifyBudget(replicas=1_000, seed=7, checkpoints=marks))
+
+    @pytest.mark.parametrize("tag, p", [("lln", 0.8), ("clt-diffusive", 0.6), ("moments", 0.9)])
+    def test_checkpoints_rejected_where_unread(self, tag, p):
+        params = validate_params(1, False, p, 1.0)
+        with pytest.raises(ValueError, match="reads no checkpoints"):
+            verify(tag, params, default_budget(tag, n_steps=10, replicas=10, checkpoints=[10]))
+
+    @pytest.fixture
+    def no_walks(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the parameters were checked")
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", fail)
+
+    def test_degenerate_lln_fails_before_the_walks(self, no_walks):
+        params = validate_params(1, False, 1.0, 1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            verify("lln", params, default_budget("lln", replicas=4_000))
+
+    @pytest.mark.parametrize("marks, message", [
+        ([1_000, 100_000], "at least 3 checkpoints"),
+        ([1_000, 1_000, 100_000], "at least 3 checkpoints"),
+        ([1_000, 5_000, 99_999], "two decades"),
+    ])
+    def test_superdiffusive_marks_fail_before_the_walks(self, no_walks, marks, message):
+        params = validate_params(1, False, 0.9, 1.0)
+        with pytest.raises(ValueError, match=message):
+            verify("superdiffusive", params, default_budget("superdiffusive", checkpoints=marks))
 
     def test_clt_critical_beyond_two_moves(self):
         # d = 2, theta = 1: the critical covariance is I_2 / 2, trace 1
