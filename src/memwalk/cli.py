@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -113,7 +114,6 @@ def cmd_theory(cfg: RunConfig) -> int:
         "second_eigenvalue": params.second_eigenvalue,
         "regime": regime.value,
         "critical_probability": theory.critical_probability(params.K, params.theta) if params.theta > 0.0 else None,
-        "lln_limit": None,
     }
     try:
         doc["lln_limit"] = theory.lln_limit(params).tolist()
@@ -215,10 +215,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     doc = {
         "params": {"d": params.d, "lazy": params.lazy, "K": params.K, "p": params.p, "theta": params.theta},
         "n": cfg.n_steps,
-        "paths": [{"sequence": list(seq), "probability": prob} for seq, prob in dist.sequences()],
+        "paths": None,  # filled in below in json.dumps's layout: its indented encoder is pure Python
         **montecarlo.json_ready(dataclasses.asdict(marg)),  # mean_position, position_cov, mean_axis_counts
     }
-    _write_text(cfg.out, json.dumps(doc, indent=2) + "\n")
+    fields = ",\n        ".join(["{}"] * cfg.n_steps)
+    entry = '    {{\n      "sequence": [\n        ' + fields + '\n      ],\n      "probability": {!r}\n    }}'
+    paths = ",\n".join(entry.format(*seq, prob) for seq, prob in dist.sequences())
+    _write_text(cfg.out, json.dumps(doc, indent=2).replace('"paths": null', f'"paths": [\n{paths}\n  ]', 1) + "\n")
     return 0
 
 
@@ -256,6 +259,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> _Parser:
     parser = _Parser(prog="memwalk", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -281,6 +285,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         # verify takes unset sizes from the tag's budget in montecarlo._VERIFIERS
         cfg.n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
         cfg.replicas = 100 if cfg.replicas is None else cfg.replicas
+    elif args.checkpoints is None and cfg.tag not in montecarlo.CHECKPOINT_TAGS:
+        cfg.checkpoints = []  # a file's checkpoints (one written for simulate, say); the flag is still refused
     return cfg
 
 

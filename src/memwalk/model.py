@@ -26,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -178,15 +177,28 @@ def conditional_law(params: ModelParams, state: WalkState) -> np.ndarray:
 @lru_cache
 def _first_step_cdf(init: InitialSpec, params: ModelParams) -> tuple[float, ...]:
     """Cumulative first-step law, validated and built once per (init, params)."""
-    return tuple(accumulate(init.distribution(params).tolist()))
+    return tuple(np.cumsum(init.distribution(params)).tolist())
 
 
 def initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generator) -> WalkState:
     """Sample X_1 from ``init`` and return the one-step state."""
-    idx = min(bisect_right(_first_step_cdf(init, params), rng.random()), params.K - 1)
     counts = np.zeros(params.K, dtype=np.int64)
-    counts[idx] = 1
-    return WalkState(n=1, counts=counts)
+    counts[min(bisect_right(_first_step_cdf(init, params), rng.random()), len(counts) - 1)] = 1
+    return WalkState(1, counts)
+
+
+def draw_below(m: int, rng: np.random.Generator) -> int:
+    """``rng.integers(m)``, but not called for m = 1: there it gives 0 and leaves the stream as it was."""
+    return int(rng.integers(m)) if m != 1 else 0
+
+
+def draw_holder(counts: list[int], rng: np.random.Generator) -> int:
+    """Index i with probability counts[i] / sum(counts): the holder of an item drawn uniformly."""
+    t = draw_below(sum(counts), rng)
+    for i, c in enumerate(counts):
+        t -= c
+        if t < 0:
+            return i
 
 
 def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> WalkState:
@@ -199,20 +211,19 @@ def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> Wal
     """
     if state.n < 1:
         raise ValueError("cannot step before the first move is placed")
-    K = params.K
+    counts = state.counts.copy()
+    others = len(counts) - 1  # K - 1
     if rng.random() < params.theta:
-        t = int(rng.integers(state.n))
-        remembered = bisect_right(list(accumulate(state.counts.tolist())), t)
+        remembered = draw_holder(counts.tolist(), rng)
         if rng.random() < params.p:
             idx = remembered
         else:  # uniform over the K - 1 moves other than the remembered one
-            idx = int(rng.integers(K - 1))
+            idx = draw_below(others, rng)
             idx += idx >= remembered
     else:
-        idx = 0 if rng.random() < params.p else 1 + int(rng.integers(K - 1))
-    counts = state.counts.copy()
+        idx = 0 if rng.random() < params.p else 1 + draw_below(others, rng)
     counts[idx] += 1
-    return WalkState(n=state.n + 1, counts=counts)
+    return WalkState(state.n + 1, counts)
 
 
 def simulate(

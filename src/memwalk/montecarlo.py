@@ -459,6 +459,11 @@ class ShapeStats:
         return self.excess_kurtosis / self.kurt_se
 
 
+def _require_shape_samples(R: int) -> None:
+    if R < 1000:
+        raise ValueError("need at least 1000 samples for stable shape statistics")
+
+
 def gaussianity_check(samples: np.ndarray) -> list[ShapeStats]:
     """Per-coordinate shape statistics of retained checkpoint samples.
 
@@ -469,8 +474,7 @@ def gaussianity_check(samples: np.ndarray) -> list[ShapeStats]:
     if samples.ndim != 2:
         raise ValueError("expected an (R, d) sample array")
     R = samples.shape[0]
-    if R < 1000:
-        raise ValueError("need at least 1000 samples for stable shape statistics")
+    _require_shape_samples(R)
     out = []
     skew_se = np.sqrt(6.0 / R)
     kurt_se = np.sqrt(24.0 / R)
@@ -571,6 +575,7 @@ def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
 def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     R = budget.replicas
+    _require_shape_samples(R)  # before the walks, not after them in gaussianity_check
     summary = run_ensemble(
         params, budget.init, n, [n], R, budget.seed,
         workers=budget.workers, retain_samples=True,
@@ -680,6 +685,8 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
     )
 
 
+CHECKPOINT_TAGS = ("clt-critical", "superdiffusive")  # the tags whose ensembles read checkpoints
+
 #: Per tag: the verifier, the regimes its claim is about and the default
 #: budget, which fills every field a caller's VerifyBudget leaves None.
 _VERIFIERS = {
@@ -713,7 +720,7 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     """
     budget = default_budget(tag, **vars(budget or VerifyBudget()))
     if budget.checkpoints is not None:
-        if tag not in ("clt-critical", "superdiffusive"):
+        if tag not in CHECKPOINT_TAGS:
             raise ValueError(f"tag {tag} reads no checkpoints, got {budget.checkpoints}")
         # these ensembles run to their last checkpoint, whatever n_steps says
         budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints))

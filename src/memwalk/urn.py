@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, draw_holder
 
 
 @dataclass
@@ -36,15 +36,10 @@ def replacement_distribution(params: ModelParams, j: int) -> np.ndarray:
     (1 - p - theta*(1-Kp))/(K-1), and any other color with probability
     (1-p)/(K-1).
     """
-    return np.array(_replacement_law(params, j))
-
-
-def _replacement_law(params: ModelParams, j: int) -> list[float]:
-    """``replacement_distribution`` as a Python list, for ``urn_step``."""
     K, p, theta = params.K, params.p, params.theta
     if not 0 <= j < K:
         raise ValueError(f"color index {j} out of range [0, {K})")
-    law = [(1.0 - p) / (K - 1.0)] * K
+    law = np.full(K, (1.0 - p) / (K - 1.0))
     if j == 0:
         law[0] = p
     else:
@@ -59,22 +54,23 @@ def mean_replacement_matrix(params: ModelParams) -> np.ndarray:
     Columns sum to one. Eigenvalues are 1 (simple) and
     theta*(Kp-1)/(K-1) with multiplicity K - 1.
     """
-    return np.column_stack(
-        [replacement_distribution(params, j) for j in range(params.K)]
-    )
+    return np.column_stack([replacement_distribution(params, j) for j in range(params.K)])
+
+
+@lru_cache
+def _replacement_cdfs(params: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """Cumulative replacement law of every drawn color, built once per params."""
+    return tuple(tuple(np.cumsum(replacement_distribution(params, j)).tolist()) for j in range(params.K))
 
 
 def urn_step(params: ModelParams, state: UrnState, rng: np.random.Generator) -> UrnState:
     """Draw a ball uniformly, add one ball by the replacement law."""
     if state.n < 1:
         raise ValueError("urn is empty")
-    cum = list(accumulate(state.balls.tolist()))
-    drawn = bisect_right(cum, int(rng.integers(cum[-1])))
-    cdf = list(accumulate(_replacement_law(params, drawn)))
-    added = min(bisect_right(cdf, rng.random()), params.K - 1)
     balls = state.balls.copy()
-    balls[added] += 1
-    return UrnState(n=state.n + 1, balls=balls)
+    cdf = _replacement_cdfs(params)[draw_holder(balls.tolist(), rng)]
+    balls[min(bisect_right(cdf, rng.random()), len(cdf) - 1)] += 1
+    return UrnState(state.n + 1, balls)
 
 
 def pairing_matrix(d: int, lazy: bool) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
-from memwalk import montecarlo
-from memwalk.cli import RunConfig, main
+from memwalk import montecarlo, oracle
+from memwalk.cli import RunConfig, build_parser, main
+from memwalk.model import InitialSpec, validate_params
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -320,6 +322,35 @@ class TestOracleCommand:
         assert total == pytest.approx(1.0, abs=1e-12)
         jsonschema.validate(doc, load_schema("oracle"))
 
+    @pytest.mark.parametrize("d, lazy, p, theta, steps", [
+        (1, False, 0.75, 1.0, (1, 2, 5, 12)),
+        (1, False, 1e-300, 0.4, (3,)),  # subnormal and zero path probabilities
+        (1, True, 0.5, 0.6, (1, 2, 7)),
+        (2, False, 1.0, 1.0, (1, 2, 6)),  # p = theta = 1: most paths have probability 0
+        (2, True, 0.2, 0.3, (1, 2, 5)),
+    ])
+    def test_bytes_match_the_indented_json_encoder(self, capsys, tmp_path, d, lazy, p, theta, steps):
+        # the paths are rendered by hand; every byte must be what json.dumps(indent=2) writes
+        params = validate_params(d, lazy, p, theta)
+        K = params.K
+        custom = np.arange(1, K + 1) / (K * (K + 1) / 2)
+        (tmp_path / "probs.json").write_text(json.dumps(custom.tolist()))
+        starts = {"uniform": InitialSpec.uniform(), f"fixed:{K - 1}": InitialSpec.fixed(K - 1),
+                  f"custom:{tmp_path / 'probs.json'}": InitialSpec.custom(custom)}
+        for n in steps:
+            for flag, init in starts.items():
+                dist = oracle.enumerate_paths(params, init, n)
+                doc = {
+                    "params": {"d": d, "lazy": lazy, "K": K, "p": p, "theta": theta},
+                    "n": n,
+                    "paths": [{"sequence": list(seq), "probability": prob} for seq, prob in dist.sequences()],
+                    **montecarlo.json_ready(dataclasses.asdict(oracle.exact_marginals(params, init, n))),
+                }
+                argv = ["--d", str(d), "--p", repr(p), "--theta", repr(theta), "--steps", str(n), "--init", flag]
+                code, out, err = run_cli(capsys, "oracle", *argv, *(["--lazy"] if lazy else []))
+                assert (code, err) == (0, "")
+                assert out == json.dumps(doc, indent=2) + "\n"
+
     def test_refuses_large_instance(self, capsys):
         code, _, err = run_cli(
             capsys, "oracle", "--d", "3", "--theta", "1", "--p", "0.5", "--steps", "12",
@@ -351,6 +382,28 @@ class TestConfigRoundTrip:
         code, out, _ = run_cli(capsys, "theory", "--config", str(path), "--p", "0.6")
         assert code == 0
         assert json.loads(out)["regime"] == "diffusive"
+
+    def test_simulate_file_checkpoints_ignored_by_lln(self, capsys, tmp_path):
+        # lln reads no checkpoints: a file's are dropped, the flag is still refused
+        cfg = RunConfig(subcommand="simulate", d=1, p=0.8, theta=0.3, n_steps=2000,
+                        checkpoints=[100, 2000], replicas=100, seed=123)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        code, out, err = run_cli(capsys, "verify", "--tag", "lln", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["n_steps"] == 2000
+        code, out, err = run_cli(capsys, "verify", "--tag", "lln", "--config", str(path), "--checkpoints", "100,2000")
+        assert (code, out) == (1, "")
+        assert "reads no checkpoints" in err
+
+    def test_file_checkpoints_reach_clt_critical(self, capsys, tmp_path):
+        cfg = RunConfig(subcommand="verify", tag="clt-critical", d=1, p=0.75, theta=1.0,
+                        checkpoints=[3, 30], replicas=2000, seed=7)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        code, out, _ = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 2  # the same verdict as test_statistical_fail_exit_two
+        assert json.loads(out)["config"]["n_steps"] == 30
 
     def test_unknown_config_keys_rejected(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -402,6 +455,25 @@ class TestUsageContract:
                                  "--steps", "10", "--reps", "10", "--checkpoints", "10")
         assert (code, out) == (1, "")
         assert "reads no checkpoints" in err
+
+    def test_reused_parser_matches_fresh_processes(self, capsys, tmp_path):
+        # the parser is built once per process; no call may leave state for the next
+        path = tmp_path / "cfg.json"
+        path.write_text(RunConfig(subcommand="simulate", d=1, p=0.8, theta=0.3, n_steps=200,
+                                  checkpoints=[100, 200], replicas=20, seed=5).to_json())
+        calls = [
+            ["simulate", "--d", "1", "--lazy", "--theta", "0.3", "--p", "0.8", "--steps", "50",
+             "--checkpoints", "10,50", "--reps", "20", "--seed", "4"],
+            ["verify", "--tag", "lln", "--config", str(path)],
+            ["theory", "--d", "1", "--theta", "1", "--p", "0.75", "--steps", "10"],
+            ["oracle", "--d", "1", "--theta", "1", "--p", "0.75", "--steps", "3"],
+        ]
+        in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+        assert build_parser() is build_parser()
+        fresh = [subprocess.run([sys.executable, "-m", "memwalk", *argv], capture_output=True, text=True,
+                                env=subprocess_env(), timeout=120) for argv in calls]
+        assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+        assert [code for code, _ in in_process] == [0, 0, 1, 0]
 
     def test_subcommand_help_lists_flags(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--help")

@@ -679,6 +679,14 @@ class TestVerify:
         with pytest.raises(ValueError, match=message):
             verify("superdiffusive", params, default_budget("superdiffusive", checkpoints=marks))
 
+    def test_clt_diffusive_replica_floor_before_the_walks(self, no_walks):
+        params = validate_params(1, False, 0.6, 1.0)
+        with pytest.raises(ValueError) as early:
+            verify("clt-diffusive", params, default_budget("clt-diffusive", replicas=999))
+        with pytest.raises(ValueError) as late:
+            gaussianity_check(np.zeros((999, 1)))
+        assert str(early.value) == str(late.value)
+
     def test_clt_critical_beyond_two_moves(self):
         # d = 2, theta = 1: the critical covariance is I_2 / 2, trace 1
         params = validate_params(2, False, theory.critical_probability(4, 1.0), 1.0)
