@@ -51,6 +51,12 @@ _TILE_MAX = 7_168
 _REFILL_BLOCK = 128
 #: Gate, in standard errors, of every per-scalar check in the verifiers.
 _TOLERANCE_SE = 4.0
+#: The other gates: clt-diffusive's cross-time and clt-critical's ratios,
+#: relative; superdiffusive's exponent, absolute; moments' second moment, relative.
+_TOLERANCE_CROSS_TIME = 0.10
+_TOLERANCE_CRITICAL = 0.15
+_TOLERANCE_EXPONENT = 0.10
+_TOLERANCE_MOMENT = 0.05
 
 
 def replica_stream_seed(seed: int, replica: int) -> int:
@@ -504,7 +510,6 @@ class VerifyBudget:
     init: InitialSpec = field(default_factory=InitialSpec.uniform)
     workers: int = 1
     cross_time: tuple[float, float, int] | None = None
-    tolerance_rel: float | None = None
 
 
 def default_budget(tag: str, **overrides) -> VerifyBudget:
@@ -552,6 +557,18 @@ def json_ready(obj):
     return obj
 
 
+def _se_units(diff, se) -> np.ndarray:
+    """|diff| / se; where se is 0, 0 if |diff| < 1e-12 and inf otherwise."""
+    diff = np.abs(diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(se > 0, diff / se, np.where(diff < 1e-12, 0.0, np.inf))
+
+
+def _rel(emp, th) -> float:
+    """max |emp - th| / max |th|, with _se_units' rule where max |th| is 0."""
+    return float(_se_units(np.max(np.abs(emp - th)), np.max(np.abs(th))))
+
+
 def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     limit = theory.lln_limit(params)  # raises on degenerate parameters before any walk
@@ -561,8 +578,7 @@ def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
     cp = summary.at(n)
     emp = cp.mean / n
     se = cp.stderr / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, np.abs(emp - limit) / se, np.where(np.abs(emp - limit) < 1e-12, 0.0, np.inf))
+    z = _se_units(emp - limit, se)
     return dict(
         passed=bool(np.all(z <= _TOLERANCE_SE)),
         theoretical={"limit": limit},
@@ -585,7 +601,7 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     emp = cp.cov / n
     # asymptotic SE of a Gaussian sample covariance entry
     se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / R)
-    z = np.abs(emp - th) / np.where(se > 0, se, np.inf)
+    z = _se_units(emp - th, se)
     cov_pass = bool(np.all(z <= _TOLERANCE_SE))
 
     shapes = gaussianity_check(summary.samples[n])
@@ -600,15 +616,15 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
         params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
     )
     cross_th = theory.diffusive_covariance(params, s_time, t_time)
-    cross_rel = float(np.max(np.abs(cross_emp - cross_th)) / np.max(np.abs(cross_th)))
+    cross_rel = _rel(cross_emp, cross_th)
 
     return dict(
-        passed=cov_pass and shape_pass and cross_rel <= budget.tolerance_rel,
+        passed=cov_pass and shape_pass and cross_rel <= _TOLERANCE_CROSS_TIME,
         theoretical={"covariance_over_n": th, "cross_time": cross_th},
         empirical={"covariance_over_n": emp, "cross_time": cross_emp,
                    "shape_z": shape_z},
         discrepancy={"covariance_se_units": z, "cross_time_rel": cross_rel},
-        tolerance={"se_units": _TOLERANCE_SE, "cross_time_rel": budget.tolerance_rel},
+        tolerance={"se_units": _TOLERANCE_SE, "cross_time_rel": _TOLERANCE_CROSS_TIME},
     )
 
 
@@ -624,13 +640,12 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
     r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
     drift = abs(r_last / r_first - 1.0)
     offset = abs(r_last / th - 1.0)
-    tol = budget.tolerance_rel
     return dict(
-        passed=bool(drift <= tol and offset <= tol),
+        passed=bool(drift <= _TOLERANCE_CRITICAL and offset <= _TOLERANCE_CRITICAL),
         theoretical={"trace_over_nlogn": th},
         empirical={"trace_over_nlogn": ratios},
         discrepancy={"between_checkpoints_rel": drift, "vs_theory_rel": offset},
-        tolerance={"rel": tol},
+        tolerance={"rel": _TOLERANCE_CRITICAL},
     )
 
 
@@ -644,13 +659,12 @@ def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     )
     slope, se = scaling_exponent(summary)
     target = 2.0 * params.second_eigenvalue
-    tol = budget.tolerance_rel
     return dict(
-        passed=bool(abs(slope - target) <= tol),
+        passed=bool(abs(slope - target) <= _TOLERANCE_EXPONENT),
         theoretical={"exponent": target},
         empirical={"exponent": slope, "exponent_se": se},
         discrepancy={"abs": abs(slope - target)},
-        tolerance={"abs": tol},
+        tolerance={"abs": _TOLERANCE_EXPONENT},
     )
 
 
@@ -665,48 +679,41 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
     limit = theory.limit_moments(params, budget.init)
     scale = float(n) ** (2.0 * r)
     emp_second = cp.cov / scale
-    rel = float(np.max(np.abs(emp_second - limit.second_moment)) / np.max(np.abs(limit.second_moment)))
-    tol = budget.tolerance_rel
+    rel = _rel(emp_second, limit.second_moment)
 
     # centered mean: E(S_n) from the exact recursion, scaled like L
     exact_mean = theory._mean_position(params, budget.init, n)
     mean_l = (cp.mean - exact_mean) / float(n) ** r
     se_l = cp.stderr / float(n) ** r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_z = np.where(se_l > 0, np.abs(mean_l) / se_l, 0.0)
+    mean_z = _se_units(mean_l, se_l)
     mean_pass = bool(np.all(mean_z <= _TOLERANCE_SE))
 
     return dict(
-        passed=bool(rel <= tol and mean_pass),
+        passed=bool(rel <= _TOLERANCE_MOMENT and mean_pass),
         theoretical={"second_moment": limit.second_moment, "mean": limit.mean},
         empirical={"second_moment": emp_second, "mean": mean_l, "mean_se": se_l},
         discrepancy={"second_moment_rel": rel, "mean_se_units": mean_z},
-        tolerance={"second_moment_rel": tol, "mean_se_units": _TOLERANCE_SE},
+        tolerance={"second_moment_rel": _TOLERANCE_MOMENT, "mean_se_units": _TOLERANCE_SE},
     )
 
 
 CHECKPOINT_TAGS = ("clt-critical", "superdiffusive")  # the tags whose ensembles read checkpoints
 
 #: Per tag: the verifier, the regimes its claim is about and the default
-#: budget, which fills every field a caller's VerifyBudget leaves None.
+#: budget sizes, which fill every field a caller's VerifyBudget leaves None.
+#: The gates are the _TOLERANCE_* constants above.
 _VERIFIERS = {
     "lln": (_verify_lln, tuple(Regime), dict(n_steps=100_000, replicas=200)),
     "clt-diffusive": (
         _verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION),
-        dict(n_steps=10_000, replicas=10_000, cross_time=(1.0, 4.0, 10_000), tolerance_rel=0.10),
+        dict(n_steps=10_000, replicas=10_000, cross_time=(1.0, 4.0, 10_000)),
     ),
     "clt-critical": (
         _verify_clt_critical, (Regime.CRITICAL,),
-        dict(n_steps=10_000, replicas=4_000, checkpoints=[1_000, 10_000], tolerance_rel=0.15),
+        dict(n_steps=10_000, replicas=4_000, checkpoints=[1_000, 10_000]),
     ),
-    "superdiffusive": (
-        _verify_superdiffusive, (Regime.SUPERDIFFUSIVE,),
-        dict(n_steps=100_000, replicas=2_000, tolerance_rel=0.10),
-    ),
-    "moments": (
-        _verify_moments, (Regime.SUPERDIFFUSIVE,),
-        dict(n_steps=100_000, replicas=10_000, tolerance_rel=0.05),
-    ),
+    "superdiffusive": (_verify_superdiffusive, (Regime.SUPERDIFFUSIVE,), dict(n_steps=100_000, replicas=2_000)),
+    "moments": (_verify_moments, (Regime.SUPERDIFFUSIVE,), dict(n_steps=100_000, replicas=10_000)),
 }
 
 

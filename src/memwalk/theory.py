@@ -194,50 +194,19 @@ def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     return s * (proj @ counts @ proj.T)
 
 
-def _stirling_tail(z: np.ndarray) -> np.ndarray:
-    """Correction series of ln Gamma beyond the Stirling main term."""
-    z2 = z * z
-    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z2)) / z2) / z
-
-
-def _log_gamma_ratio(k: np.ndarray, r: float) -> np.ndarray:
-    """ln Gamma(k) - ln Gamma(k + r) without large-argument cancellation.
-
-    Differencing lgamma directly loses ~|lgamma(k)| * eps absolute
-    accuracy in the exponent (1e-9 relative at k = 1e6). For large k the
-    Stirling expansions are differenced analytically instead, leaving
-    only O(1)-sized terms.
-    """
-    k = np.asarray(k, dtype=float)
-    out = np.empty_like(k)
-    small = k < 25.0
-    out[small] = [math.lgamma(x) - math.lgamma(x + r) for x in k[small]]
-    z = k[~small]
-    correction = np.log1p(r / z)
-    out[~small] = (
-        -r * np.log(z)
-        + (r - (z + r - 0.5) * correction)
-        + _stirling_tail(z)
-        - _stirling_tail(z + r)
-    )
-    return out
-
-
 def martingale_coefficients(params: ModelParams, n: int) -> np.ndarray:
     """Weights a_k = prod_{l<k} l/(l + r), r = second_eigenvalue, k = 1..n.
 
-    a_n * S-hat_n is a martingale. Evaluated in log-gamma space as
-    exp(lgamma(r+1) + lgamma(k) - lgamma(r+k)), with the difference
-    formed cancellation-free; a_k * k^r decreases monotonically to
-    Gamma(r+1).
+    a_n * S-hat_n is a martingale. a_k = Gamma(r+1) Gamma(k) / Gamma(k+r),
+    and a_k * k^r decreases monotonically to Gamma(r+1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     r = params.second_eigenvalue
     if r <= -1.0:
         raise ValueError("weights diverge at second_eigenvalue <= -1")
-    k = np.arange(1, n + 1, dtype=float)
-    return np.exp(math.lgamma(r + 1.0) + _log_gamma_ratio(k, r))
+    k = np.arange(1, n, dtype=float)
+    return np.r_[1.0, np.cumprod(k / (k + r))]
 
 
 #: Terms of the series below that are summed one by one. With the

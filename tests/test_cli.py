@@ -239,6 +239,21 @@ class TestVerifyCommand:
         assert code in (0, 2)
         jsonschema.validate(json.loads(out), load_schema("verify"))
 
+    def test_moments_corner_with_zero_limit_passes(self, capsys):
+        # from a fixed first step at theta = p = 1 the walk is deterministic:
+        # the limit second moment and the sample's are both exactly 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--tag", "moments", "--d", "1", "--theta", "1", "--p", "1",
+            "--init", "fixed:0", "--steps", "200", "--reps", "100",
+        )
+
+        def reject(constant):
+            raise ValueError(f"{constant} in verify JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert report["discrepancy"]["second_moment_rel"] == 0.0
+
     def test_missing_tag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--d", "1", "--theta", "1", "--p", "0.6")
         assert code == 1

@@ -1,3 +1,4 @@
+import json
 import os
 import select
 import signal
@@ -620,14 +621,16 @@ class TestVerify:
         text = json.dumps(report.as_dict())
         assert "lln" in text
 
-    @pytest.mark.parametrize("tag, p, overrides, key", [
+    @pytest.mark.parametrize("tag, p, overrides, key, gate", [
         # each would pass its default gate: rel 0.028 against 0.05 and 0.039 against 0.10
-        ("moments", 0.9, dict(n_steps=2_000, replicas=2_000), "second_moment_rel"),
-        ("clt-diffusive", 0.6, dict(n_steps=500, replicas=2_000, cross_time=(1.0, 4.0, 500)), "cross_time_rel"),
+        ("moments", 0.9, dict(n_steps=2_000, replicas=2_000), "second_moment_rel", "_TOLERANCE_MOMENT"),
+        ("clt-diffusive", 0.6, dict(n_steps=500, replicas=2_000, cross_time=(1.0, 4.0, 500)),
+         "cross_time_rel", "_TOLERANCE_CROSS_TIME"),
     ])
-    def test_zero_relative_tolerance_is_kept(self, tag, p, overrides, key):
+    def test_zero_relative_tolerance_is_kept(self, monkeypatch, tag, p, overrides, key, gate):
+        monkeypatch.setattr(montecarlo, gate, 0.0)
         params = validate_params(1, False, p, 1.0)
-        report = verify(tag, params, default_budget(tag, seed=5, tolerance_rel=0.0, **overrides))
+        report = verify(tag, params, default_budget(tag, seed=5, **overrides))
         assert not report.passed
         assert report.tolerance[key] == 0.0
 
@@ -637,7 +640,38 @@ class TestVerify:
         report = verify("clt-critical", params, budget)
         assert report.tolerance["rel"] == 0.15
         assert report.config["n_steps"] == 30 and report.config["replicas"] == 2_000
-        assert budget.tolerance_rel is None
+
+    def test_gates_share_one_zero_rule(self):
+        # se > 0; se = 0 with diff = 0; se = 0 with diff != 0
+        z = montecarlo._se_units(np.array([-3.0, 0.0, 1e-3]), np.array([1.5, 0.0, 0.0]))
+        assert z.tolist() == [2.0, 0.0, np.inf]
+        assert montecarlo._rel(np.array([1.0, 2.0]), np.array([-1.0, 4.0])) == 0.5
+        assert montecarlo._rel(np.zeros(2), np.zeros(2)) == 0.0
+        assert montecarlo._rel(np.array([0.0, 1e-3]), np.zeros(2)) == np.inf
+
+    def test_zero_theory_covariance_reads_infinite_se_units(self):
+        # at theta = 0, p = 1 only the first step is random: the limit covariance is 0,
+        # the sample's about 1/n
+        params = validate_params(1, False, 1.0, 0.0)
+        budget = default_budget("clt-diffusive", n_steps=200, replicas=1_000, cross_time=(1.0, 4.0, 200))
+        report = verify("clt-diffusive", params, budget)
+        assert np.all(report.theoretical["covariance_over_n"] == 0.0)
+        assert report.empirical["covariance_over_n"][0, 0] > 0.0
+        assert report.discrepancy["covariance_se_units"][0, 0] == np.inf
+        assert not report.passed
+
+    @pytest.mark.parametrize("tag, p, theta, overrides", [
+        # the verify-wide specs of benchmarks/workloads.py at small R, and lln's small budget
+        ("clt-diffusive", 0.6, 1.0, dict(n_steps=500, replicas=1_000, cross_time=(1.0, 4.0, 500))),
+        ("clt-critical", 0.75, 1.0, dict(replicas=400, checkpoints=[500, 5_000])),
+        ("moments", 0.9, 1.0, dict(n_steps=2_000, replicas=1_000)),
+        ("lln", 0.8, 0.3, dict(n_steps=5_000, replicas=100)),
+    ])
+    def test_reports_are_finite_json(self, tag, p, theta, overrides):
+        # a new 0/0 in a gate would reach the report as NaN or Infinity
+        params = validate_params(1, False, p, theta)
+        report = verify(tag, params, default_budget(tag, seed=5, **overrides))
+        json.dumps(report.as_dict(), allow_nan=False)
 
     def test_empty_checkpoint_list_rejected(self):
         params = validate_params(1, False, 0.75, 1.0)
