@@ -24,7 +24,6 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import dataclasses
-import functools
 import itertools
 import multiprocessing
 import multiprocessing.connection
@@ -139,31 +138,6 @@ class EnsembleSummary:
         raise KeyError(f"no checkpoint at n = {n}")
 
 
-@dataclass
-class _BlockSums:
-    """Exact integer accumulators for one block of replicas.
-
-    Integer sums make merging associative and order-insensitive exactly,
-    so any partition of replicas over workers yields identical output.
-    """
-
-    replicas: int
-    sum_x: np.ndarray  # (C, d) int64
-    sum_xx: np.ndarray  # (C, d, d) int64
-    samples: list[np.ndarray] | None  # per checkpoint (r, d) or None
-
-    def merge(self, other: "_BlockSums") -> "_BlockSums":
-        samples = None
-        if self.samples is not None and other.samples is not None:
-            samples = [np.vstack([a, b]) for a, b in zip(self.samples, other.samples)]
-        return _BlockSums(
-            replicas=self.replicas + other.replicas,
-            sum_x=self.sum_x + other.sum_x,
-            sum_xx=self.sum_xx + other.sum_xx,
-            samples=samples,
-        )
-
-
 def _refill(tile: np.ndarray, block: np.ndarray, gens: list, size: int) -> None:
     """Draw the next ``size`` uniforms of stream ``gens[r]`` into rows [0, size) of column r."""
     w = len(gens)
@@ -177,14 +151,17 @@ def _refill(tile: np.ndarray, block: np.ndarray, gens: list, size: int) -> None:
 def _simulate_block(
     params: ModelParams,
     init: InitialSpec,
-    n_steps: int,
     marks: list[int],
     seed: int,
     lo: int,
     hi: int,
     retain: bool,
-) -> _BlockSums:
-    """Lockstep-vectorized walk of replicas [lo, hi) with private streams.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
+    """Lockstep-vectorized walk of replicas [lo, hi) to step marks[-1] with private streams.
+
+    Returns the exact int64 sums of the positions and of their outer
+    products at each mark, of shapes (C, d) and (C, d, d), and, when
+    ``retain`` is set, the (hi - lo, d) int64 positions at each mark.
 
     The range runs as the fewest tiles of near-equal width at most
     min(_TILE_UNIT * (6K - 8), _TILE_MAX): a step costs 6K - 8 numpy
@@ -225,7 +202,7 @@ def _simulate_block(
     tiles = -(-nrep // min(_TILE_UNIT * (6 * K - 8), _TILE_MAX))
     edges = [lo + nrep * t // tiles for t in range(tiles + 1)]
     width = -(-nrep // tiles)
-    chunk = min(n_steps, _CHUNK)
+    chunk = min(marks[-1], _CHUNK)
     buf = np.empty((chunk, width))
     block = np.empty((min(width, _REFILL_BLOCK), chunk))
     base = base_step_rates(params).tolist()
@@ -255,7 +232,7 @@ def _simulate_block(
             for n in range(start, mark):
                 col = n % chunk
                 if col == 0:
-                    _refill(tile, block, gens, min(chunk, n_steps - n))
+                    _refill(tile, block, gens, min(chunk, marks[-1] - n))
                 u = tile[col]
                 c = lam2 / n
                 np.multiply(rows[0], c, out=acc)
@@ -277,7 +254,7 @@ def _simulate_block(
                 samples[ci][a - lo : b - lo] = pos
         del gens  # free these generators before the next tile makes its own
 
-    return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
+    return sum_x, sum_xx, samples
 
 
 def _usable_cpus() -> int:
@@ -315,41 +292,6 @@ def _drop_pool() -> None:
     _pool = None
 
 
-def _run_blocks(
-    params: ModelParams,
-    init: InitialSpec,
-    n_steps: int,
-    marks: list[int],
-    replicas: int,
-    seed: int,
-    workers: int,
-    retain: bool,
-) -> _BlockSums:
-    if replicas * n_steps**2 >= 2**62:
-        raise ValueError("replicas * n_steps^2 too large for exact integer accumulation")
-    workers = _process_count(workers, replicas, _usable_cpus())
-    bounds = np.linspace(0, replicas, workers + 1, dtype=int)
-    tasks = list(zip(bounds, bounds[1:]))
-    if len(tasks) == 1:
-        return _simulate_block(params, init, n_steps, marks, seed, 0, replicas, retain)
-    global _pool
-    args = (params, init, n_steps, marks, seed)
-    for retry in (False, True):
-        # a forked child, or a call that needs more workers, makes a new pool
-        if _pool is None or _pool[0] != os.getpid() or _pool[1] < len(tasks):
-            _drop_pool()
-            executor = concurrent.futures.ProcessPoolExecutor(len(tasks), initializer=_end_with_parent)
-            _pool = (os.getpid(), len(tasks), executor)
-        try:
-            futures = [_pool[2].submit(_simulate_block, *args, lo, hi, retain) for lo, hi in tasks]
-            return functools.reduce(_BlockSums.merge, [f.result() for f in futures])
-        except concurrent.futures.BrokenExecutor:
-            # a worker died; blocks are pure, so they run once more on a fresh pool
-            _drop_pool()
-            if retry:
-                raise
-
-
 def run_ensemble(
     params: ModelParams,
     init: InitialSpec,
@@ -373,14 +315,42 @@ def run_ensemble(
     marks = sorted(set(int(c) for c in checkpoints)) or [n_steps]
     if marks[0] < 1 or marks[-1] > n_steps:
         raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
-    sums = _run_blocks(params, init, marks[-1], marks, replicas, seed, workers, retain_samples)
+    if replicas * marks[-1] ** 2 >= 2**62:
+        raise ValueError("replicas * n_steps^2 too large for exact integer accumulation")
+    workers = _process_count(workers, replicas, _usable_cpus())
+    bounds = np.linspace(0, replicas, workers + 1, dtype=int)
+    tasks = list(zip(bounds, bounds[1:]))
+    args = (params, init, marks, seed)
+    if len(tasks) == 1:
+        blocks = [_simulate_block(*args, 0, replicas, retain_samples)]
+    else:
+        global _pool
+        for retry in (False, True):
+            # a forked child, or a call that needs more workers, makes a new pool
+            if _pool is None or _pool[0] != os.getpid() or _pool[1] < len(tasks):
+                _drop_pool()
+                executor = concurrent.futures.ProcessPoolExecutor(len(tasks), initializer=_end_with_parent)
+                _pool = (os.getpid(), len(tasks), executor)
+            try:
+                futures = [_pool[2].submit(_simulate_block, *args, lo, hi, retain_samples) for lo, hi in tasks]
+                blocks = [f.result() for f in futures]
+                break
+            except concurrent.futures.BrokenExecutor:
+                # a worker died; blocks are pure, so they run once more on a fresh pool
+                _drop_pool()
+                if retry:
+                    raise
+    # integer sums: any partition of the replicas over blocks gives the same totals
+    sum_x, sum_xx = sum(b[0] for b in blocks), sum(b[1] for b in blocks)
     stats = []
     for ci, n in enumerate(marks):
-        mean = sums.sum_x[ci] / replicas
-        cov = (sums.sum_xx[ci] - replicas * np.outer(mean, mean)) / (replicas - 1)
+        mean = sum_x[ci] / replicas
+        cov = (sum_xx[ci] - replicas * np.outer(mean, mean)) / (replicas - 1)
         stderr = np.sqrt(np.maximum(np.diag(cov), 0.0) / replicas)
         stats.append(CheckpointStats(n=n, replicas=replicas, mean=mean, cov=cov, stderr=stderr))
-    samples = dict(zip(marks, sums.samples)) if sums.samples is not None else {}
+    # retained rows in block order, which is replica order
+    per_mark = zip(*(b[2] for b in blocks)) if retain_samples else []
+    samples = {n: np.vstack(rows) for n, rows in zip(marks, per_mark)}
     return EnsembleSummary(params=params, replicas=replicas, seed=seed, checkpoints=stats, samples=samples)
 
 
@@ -545,7 +515,8 @@ class VerificationReport:
 
 
 def json_ready(obj):
-    """Copy of nested dicts and sequences with numpy values as plain Python."""
+    """Copy of nested dicts and sequences with numpy values as plain Python
+    and every non-finite float as None, so it dumps as strict JSON."""
     if isinstance(obj, dict):
         return {k: json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -553,8 +524,8 @@ def json_ready(obj):
     if isinstance(obj, np.ndarray):
         return json_ready(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+        obj = obj.item()
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def _se_units(diff, se) -> np.ndarray:
@@ -729,8 +700,9 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     if budget.checkpoints is not None:
         if tag not in CHECKPOINT_TAGS:
             raise ValueError(f"tag {tag} reads no checkpoints, got {budget.checkpoints}")
-        # these ensembles run to their last checkpoint, whatever n_steps says
-        budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints))
+        # these ensembles run to their last checkpoint, whatever n_steps says;
+        # an empty list is left to the verifier's own check
+        budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints, default=budget.n_steps))
     verifier, regimes, _ = _VERIFIERS[tag]
     regime = theory.classify_regime(params)
     if regime not in regimes:

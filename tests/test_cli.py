@@ -107,9 +107,9 @@ class TestSimulateCommand:
         steps_run = []
         block = montecarlo._simulate_block
 
-        def spy(params, init, n_steps, *rest):
-            steps_run.append(n_steps)
-            return block(params, init, n_steps, *rest)
+        def spy(params, init, marks, *rest):
+            steps_run.append(marks[-1])
+            return block(params, init, marks, *rest)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", spy)
         paths = []
@@ -253,6 +253,22 @@ class TestVerifyCommand:
         report = json.loads(out, parse_constant=reject)
         assert code == 0
         assert report["discrepancy"]["second_moment_rel"] == 0.0
+
+    def test_infinite_gate_reads_null(self, capsys):
+        # at theta = 0, p = 1 the limit covariance is 0 but the sample's is not:
+        # both gates read inf, which strict JSON writes as null
+        code, out, _ = run_cli(
+            capsys, "verify", "--tag", "clt-diffusive", "--d", "1", "--theta", "0", "--p", "1",
+            "--steps", "200", "--reps", "1000",
+        )
+
+        def reject(constant):
+            raise ValueError(f"{constant} in verify JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert code == 2 and report["passed"] is False
+        assert report["discrepancy"]["covariance_se_units"] == [[None]]
+        assert report["discrepancy"]["cross_time_rel"] is None
 
     def test_missing_tag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--d", "1", "--theta", "1", "--p", "0.6")

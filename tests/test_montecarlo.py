@@ -15,7 +15,6 @@ from memwalk import montecarlo, oracle, theory, urn
 from memwalk.model import InitialSpec, ModelParams, base_step_rates, validate_params
 from memwalk.montecarlo import (
     VerifyBudget,
-    _BlockSums,
     _simulate_block,
     _stream_words,
     _Words,
@@ -41,7 +40,7 @@ def reference_block(
     lo: int,
     hi: int,
     retain: bool,
-) -> _BlockSums:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray] | None]:
     """Reference: the replica-major lockstep kernel with an (R, K) law per step.
 
     Each step builds the law base + (lam2/n) * counts, takes its cumsum and
@@ -89,16 +88,16 @@ def reference_block(
         counts[rows, idx] += 1
         record(n + 1)
 
-    return _BlockSums(replicas=nrep, sum_x=sum_x, sum_xx=sum_xx, samples=samples)
+    return sum_x, sum_xx, samples
 
 
 def assert_same_block(params, init, n_steps, marks, seed, lo, hi):
-    got = _simulate_block(params, init, n_steps, marks, seed, lo, hi, True)
+    assert marks[-1] == n_steps  # the kernel walks to its last mark
+    got = _simulate_block(params, init, marks, seed, lo, hi, True)
     want = reference_block(params, init, n_steps, marks, seed, lo, hi, True)
-    assert got.replicas == want.replicas
-    assert np.array_equal(got.sum_x, want.sum_x), (params, init)
-    assert np.array_equal(got.sum_xx, want.sum_xx), (params, init)
-    for a, b in zip(got.samples, want.samples):
+    assert np.array_equal(got[0], want[0]), (params, init)
+    assert np.array_equal(got[1], want[1]), (params, init)
+    for a, b in zip(got[2], want[2]):
         assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
         assert np.array_equal(a, b), (params, init)
 
@@ -219,11 +218,11 @@ class TestTieRule:
         init = InitialSpec.fixed(0)
 
         feed(monkeypatch, rows)
-        got = _simulate_block(params, init, 2, [2], 0, 0, len(rows), True)
+        got = _simulate_block(params, init, [2], 0, 0, len(rows), True)
         feed(monkeypatch, rows)
         want = reference_block(params, init, 2, [2], 0, 0, len(rows), True)
-        assert np.array_equal(got.samples[0], expected)
-        assert np.array_equal(want.samples[0], expected)
+        assert np.array_equal(got[2][0], expected)
+        assert np.array_equal(want[2][0], expected)
 
 
 class TestEngineAgainstExactLaw:
@@ -359,18 +358,15 @@ class TestRunEnsemble:
 
     def test_merge_partition_exactness(self):
         params = validate_params(1, False, 0.8, 1.0)
-        whole = _simulate_block(params, UNIFORM, 150, [150], 77, 0, 30, False)
+        whole = _simulate_block(params, UNIFORM, [150], 77, 0, 30, False)
         for split in ([0, 30], [0, 7, 30], [0, 1, 2, 29, 30], [0, 15, 16, 30]):
             parts = [
-                _simulate_block(params, UNIFORM, 150, [150], 77, lo, hi, False)
+                _simulate_block(params, UNIFORM, [150], 77, lo, hi, False)
                 for lo, hi in zip(split, split[1:])
                 if hi > lo
             ]
-            merged = parts[0]
-            for part in parts[1:]:
-                merged = merged.merge(part)
-            assert np.array_equal(whole.sum_x, merged.sum_x)
-            assert np.array_equal(whole.sum_xx, merged.sum_xx)
+            assert np.array_equal(whole[0], sum(part[0] for part in parts))
+            assert np.array_equal(whole[1], sum(part[1] for part in parts))
 
     def test_worker_count_invariance(self):
         params = validate_params(1, False, 0.6, 1.0)
@@ -378,6 +374,18 @@ class TestRunEnsemble:
         b = run_ensemble(params, UNIFORM, 200, [200], 24, seed=3, workers=3)
         assert np.array_equal(a.at(200).mean, b.at(200).mean)
         assert np.array_equal(a.at(200).cov, b.at(200).cov)
+
+    def test_three_blocks_merge_in_replica_order(self, monkeypatch):
+        # three usable CPUs, pinned, so three blocks run in three workers
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        params = validate_params(1, True, 0.8, 0.9)
+        try:
+            a = run_ensemble(params, UNIFORM, 300, [30, 300], 41, seed=5, workers=1, retain_samples=True)
+            b = run_ensemble(params, UNIFORM, 300, [30, 300], 41, seed=5, workers=3, retain_samples=True)
+            assert montecarlo._pool[1] == 3
+        finally:
+            montecarlo._drop_pool()
+        assert same_summary(a, b)
 
     def test_worker_clamp(self):
         # pure arithmetic: no process is started here
@@ -675,8 +683,11 @@ class TestVerify:
 
     def test_empty_checkpoint_list_rejected(self):
         params = validate_params(1, False, 0.75, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"clt-critical needs two distinct checkpoints, got \[\]"):
             verify("clt-critical", params, VerifyBudget(n_steps=30, replicas=10, checkpoints=[]))
+        params = validate_params(1, False, 0.9, 1.0)
+        with pytest.raises(ValueError, match="need at least 3 checkpoints"):
+            verify("superdiffusive", params, VerifyBudget(n_steps=30, replicas=10, checkpoints=[]))
 
     def test_single_checkpoint_rejected(self):
         # the n log n drift needs two distinct checkpoints to compare
