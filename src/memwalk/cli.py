@@ -137,7 +137,7 @@ def cmd_theory(cfg: RunConfig) -> int:
             "limit_mean": limit.mean,
             "limit_second_moment": limit.second_moment,
         }
-    _write_text(cfg.out, json.dumps(montecarlo.json_ready(doc), indent=2, allow_nan=False) + "\n")
+    _write_text(cfg.out, json.dumps(montecarlo.json_ready(doc), indent=2) + "\n")
     return 0
 
 
@@ -179,7 +179,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         seed=cfg.seed, workers=cfg.workers, init=_parse_init(cfg.init),
     )
     report = montecarlo.verify(cfg.tag, params, budget)
-    _write_text(cfg.out, json.dumps(report.as_dict(), indent=2, allow_nan=False) + "\n")
+    _write_text(cfg.out, json.dumps(report.as_dict(), indent=2) + "\n")
     return 0 if report.passed else 2
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import select
@@ -676,10 +677,11 @@ class TestVerify:
         ("lln", 0.8, 0.3, dict(n_steps=5_000, replicas=100)),
     ])
     def test_reports_are_finite_json(self, tag, p, theta, overrides):
-        # a new 0/0 in a gate would reach the report as NaN or Infinity
+        # a new 0/0 in a gate would reach the report as NaN or Infinity; the report
+        # object is dumped, since as_dict writes every non-finite float as null
         params = validate_params(1, False, p, theta)
         report = verify(tag, params, default_budget(tag, seed=5, **overrides))
-        json.dumps(report.as_dict(), allow_nan=False)
+        json.dumps(dataclasses.asdict(report), allow_nan=False, default=lambda v: v.tolist())
 
     def test_empty_checkpoint_list_rejected(self):
         params = validate_params(1, False, 0.75, 1.0)
