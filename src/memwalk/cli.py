@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -62,13 +63,30 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "RunConfig":
+    def from_json(text: str, subcommand: str | None = None) -> "RunConfig":
+        """Check and load a config; ``subcommand`` serves a file that names none."""
         data = json.loads(text)
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - fields
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(data, dict):
+            raise UsageError(f"a config must be a JSON object, not {type(data).__name__}")
+        data.setdefault("subcommand", subcommand)
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in data.items():
+            if key not in hints:
+                raise UsageError(f"unknown config key {key!r}")
+            if not _fits(value, hints[key]):
+                raise UsageError(f"config key {key!r} must be {RunConfig.__annotations__[key]}, not {value!r}")
         return RunConfig(**data)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type ``hint``; an int is a float, a bool is neither."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if typing.get_args(hint):  # X | None
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _parse_init(spec: str) -> InitialSpec:
@@ -80,6 +98,8 @@ def _parse_init(spec: str) -> InitialSpec:
         path = spec.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
             probs = json.load(fh)
+        if not _fits(probs, list[float]):
+            raise UsageError(f"{path} must hold a JSON list of probabilities, not {probs!r}")
         return InitialSpec.custom(probs)
     raise UsageError(f"bad --init value {spec!r}; use uniform, fixed:IDX or custom:FILE")
 
@@ -276,7 +296,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
     if path:
         with open(path, encoding="utf-8") as fh:
-            cfg = RunConfig.from_json(fh.read())
+            cfg = RunConfig.from_json(fh.read(), args.subcommand)
     # the flags given, subcommand included, override the file
     for name, value in vars(args).items():
         if value is not None:

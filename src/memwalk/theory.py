@@ -10,10 +10,11 @@ of the superdiffusive scaled limit.
 The exact moments use the rank-one structure of the mean replacement
 matrix, A = lam I + (1 - lam) v 1^T: the mean and covariance of the
 counts at every n are fixed matrices weighted by scalar sequences run
-forward in n, and the superdiffusive limit of the covariance is a closed
-form plus one series with a Hurwitz-zeta tail. The tails are evaluated by
-Euler-Maclaurin at q = 20 001, exact there to double precision, so the
-module needs numpy alone.
+forward in n, and the superdiffusive limit of the covariance is in closed
+form, its one hypergeometric weight summed by Gauss's theorem. Only the
+squared martingale weights are a series; its Hurwitz-zeta tail is
+evaluated by Euler-Maclaurin at q = 20 001, exact there to double
+precision, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def martingale_coefficients(params: ModelParams, n: int) -> np.ndarray:
     return np.r_[1.0, np.cumprod(k / (k + r))]
 
 
-#: Terms of the series below that are summed one by one. With the
-#: Hurwitz-zeta tail beyond them each series is exact to 1e-12.
+#: Terms of the squared-weight series summed one by one. With the
+#: Hurwitz-zeta tail beyond them the series is exact to 1e-12.
 _LIMIT_HEAD = 20_000
 
 
@@ -223,25 +224,10 @@ def _hurwitz_zeta(s: float, q: float) -> float:
     return q ** (1.0 - s) / (s - 1.0) + 0.5 * q**-s + s * q ** (-s - 1.0) / 12.0
 
 
-def _ratio_series(factors: np.ndarray, tail_scale: float, s: float, coeffs: tuple[float, ...]) -> float:
-    """sum_{k>=1} t_k with t_k = factors[0] * ... * factors[k-1].
-
-    The head, k <= M = len(factors), is summed term by term; ``factors``
-    is overwritten with it. Beyond it the terms follow
-    tail_scale * k^(-s) (1 + coeffs[0]/k + coeffs[1]/k^2 + ...), and that
-    tail is evaluated through Hurwitz zeta functions.
-    """
-    cutoff = len(factors)
-    head = float(np.cumprod(factors, out=factors).sum())
-    q = cutoff + 1.0
-    tail = _hurwitz_zeta(s, q) + sum(c * _hurwitz_zeta(s + i, q) for i, c in enumerate(coeffs, 1))
-    return head + float(tail_scale * tail)
-
-
 def _square_series(rate: float) -> float:
     """sum_{k>=1} (Gamma(rate+1) Gamma(k) / Gamma(rate+k))^2 for 2*rate > 1.
 
-    ``_LIMIT_HEAD`` head terms, then the tail of the expansion
+    ``_LIMIT_HEAD`` head terms, then through Hurwitz zeta functions the tail of
     a_k^2 = Gamma(rate+1)^2 k^(-2 rate) (1 + c1/k + c2/k^2 + O(k^-3)) with
     c1 = rate(1-rate) and c2 = rate(rate-1)(2 rate-1)/6 + c1^2/2. A
     fixed-term truncation would need ~1e10 terms near rate = 1 for a
@@ -252,10 +238,13 @@ def _square_series(rate: float) -> float:
     k = np.arange(1, _LIMIT_HEAD, dtype=float)
     factors = np.ones(_LIMIT_HEAD)
     factors[1:] = (k / (k + rate)) ** 2
+    head = float(np.cumprod(factors, out=factors).sum())
     g2 = math.exp(2.0 * math.lgamma(rate + 1.0))
     c1 = rate * (1.0 - rate)
     c2 = rate * (rate - 1.0) * (2.0 * rate - 1.0) / 6.0 + 0.5 * c1 * c1
-    return _ratio_series(factors, g2, 2.0 * rate, (c1, c2))
+    s, q = 2.0 * rate, _LIMIT_HEAD + 1.0
+    tail = _hurwitz_zeta(s, q) + (c1 * _hurwitz_zeta(s + 1.0, q) + c2 * _hurwitz_zeta(s + 2.0, q))
+    return head + float(g2 * tail)
 
 
 def martingale_square_series(params: ModelParams) -> float:
@@ -361,24 +350,18 @@ def _mean_position(params: ModelParams, init: InitialSpec, n: int) -> np.ndarray
 def _drift_square_weight(r: float) -> float:
     """T2 = r^2 Gamma(1+2r)/Gamma(1+r)^2 sum_{k>=1} Gamma(k+r)^2 / (Gamma(k+1) Gamma(k+1+2r)).
 
-    The terms behave like k^-2 (1 - r(r+2)/k). Relative to the first,
-    Gamma(1+r)^2 / Gamma(2+2r), they are products of the ratios below.
-    At r = 1 the sum is 1/2 and T2 = 1.
+    Summed from k = 0 the series is Gamma(r)^2/Gamma(1+2r) 2F1(r, r; 1+2r; 1)
+    = 1/r^2 by Gauss's theorem; less its k = 0 term, T2 = Gamma(1+2r)/Gamma(1+r)^2 - 1.
     """
-    k = np.arange(1, _LIMIT_HEAD, dtype=float)
-    factors = np.ones(_LIMIT_HEAD)
-    factors[1:] = (k + r) ** 2 / ((k + 1.0) * (k + 1.0 + 2.0 * r))
-    inv_first = math.exp(math.lgamma(2.0 + 2.0 * r) - 2.0 * math.lgamma(1.0 + r))
-    return r * r / (1.0 + 2.0 * r) * _ratio_series(factors, inv_first, 2.0, (-r * (r + 2.0),))
+    return math.gamma(1.0 + 2.0 * r) / math.gamma(1.0 + r) ** 2 - 1.0
 
 
 @dataclass
 class LimitMoments:
     """Moments of the scaled superdiffusive limit L = lim S-hat_n / n^r.
 
-    mean is exactly zero. second_moment is the exact series of
-    ``limit_moments``; n_final is the number of its terms summed one by
-    one before the Hurwitz-zeta tail.
+    mean is exactly zero and second_moment is the closed form of
+    ``limit_moments``. n_final is 0: no series is summed.
     """
 
     mean: np.ndarray
@@ -395,10 +378,10 @@ def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
     t_n = r c_n / n, B0 = diag v - v v^T, B1 = diag w - v w^T - w v^T and
     B2 = w w^T. Summing the forcing against the inverse growth factor
     1 / prod_{k<=n} (1 + 2r/k) gives Sigma_1 + B0/(2r-1) + B1 - T2 B2:
-    the weights of B0 and B1 are Beta-integral sums in closed form and
-    T2 is ``_drift_square_weight``. As the growth factor is
-    ~ n^(2r) / Gamma(1+2r), Cov(N_n) / n^(2r) tends to that matrix over
-    Gamma(1+2r), and the pairing projects it to position space.
+    the weights of B0 and B1 are Beta-integral sums and T2 is the Gauss
+    value of ``_drift_square_weight``, all in closed form. As the growth
+    factor is ~ n^(2r) / Gamma(1+2r), Cov(N_n) / n^(2r) tends to that
+    matrix over Gamma(1+2r), and the pairing projects it to position space.
     """
     if classify_regime(params) is not Regime.SUPERDIFFUSIVE:
         raise RegimeMismatchError("limit moments exist only in the superdiffusive regime")
@@ -414,7 +397,7 @@ def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
         - _drift_square_weight(r) * np.outer(w, w)
     ) / math.gamma(1.0 + 2.0 * r)
     proj = urn.pairing_matrix(params.d, params.lazy)
-    return LimitMoments(mean=np.zeros(params.d), second_moment=proj @ counts @ proj.T, n_final=_LIMIT_HEAD)
+    return LimitMoments(mean=np.zeros(params.d), second_moment=proj @ counts @ proj.T, n_final=0)
 
 
 def uniform_start_limit_second_moment(params: ModelParams) -> np.ndarray:

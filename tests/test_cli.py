@@ -442,6 +442,39 @@ class TestConfigRoundTrip:
         code, _, _ = run_cli(capsys, "theory", "--config", str(path))
         assert code == 1
 
+    def test_config_without_subcommand_runs_the_named_one(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"d": 1, "p": 0.75}')
+        code, out, err = run_cli(capsys, "theory", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "theory", "--d", "1", "--p", "0.75")[1]
+
+    def test_config_that_is_not_an_object_rejected(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        code, out, err = run_cli(capsys, "theory", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("memwalk: error:") and "JSON object" in err
+
+    @pytest.mark.parametrize("command, key, other", [
+        ("simulate", "checkpoints", {}),
+        ("phase-diagram", "p_grid", {"theta_grid": [1.0]}),
+        ("phase-diagram", "theta_grid", {"p_grid": [0.9]}),
+    ])
+    def test_config_list_key_holding_a_number_rejected(self, capsys, tmp_path, command, key, other):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"subcommand": command, key: 5, **other}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("memwalk: error:") and repr(key) in err
+
+    def test_custom_init_file_holding_a_number_rejected(self, capsys, tmp_path):
+        path = tmp_path / "probs.json"
+        path.write_text("5")
+        code, out, err = run_cli(capsys, "theory", "--p", "0.9", "--init", f"custom:{path}")
+        assert (code, out) == (1, "")
+        assert err.startswith("memwalk: error:") and str(path) in err
+
 
 class TestUsageContract:
     def test_unknown_flag_is_hard_error(self, capsys):

@@ -362,7 +362,7 @@ class TestMartingaleCoefficients:
 class TestHurwitzZeta:
     Q = theory._LIMIT_HEAD + 1.0
 
-    # s in (1, 4] for _square_series, 2 and 3 for _drift_square_weight
+    # s in (1, 4] for _square_series
     @pytest.mark.parametrize("s", [*np.linspace(1.0, 4.0, 31)[1:], 1.0 + 1e-6, 1.001, 1.02, 2.0, 3.0])
     def test_matches_scipy(self, s):
         assert abs(theory._hurwitz_zeta(float(s), self.Q) / zeta(s, self.Q) - 1.0) < 1e-15
@@ -531,6 +531,19 @@ class TestLimitMoments:
             gaps.append(np.abs(scale * table.position_cov[n - 1] - limit).max() / np.abs(limit).max())
         assert gaps[1] * 3.0 <= gaps[0]
         assert gaps[1] < 3e-3
+
+    # 40-digit values with T2 summed from its defining series, not Gauss's identity
+    @pytest.mark.parametrize("d, lazy, p, theta, index, ref", [
+        (1, False, 0.9, 1.0, 0, [[0.71252158543787523125]]),
+        (1, True, 0.95, 0.9, 2, [[0.24405144122857595513]]),
+        (2, True, 0.9875, 1.0, 0, [[0.022557015046928478584, 0.0], [0.0, 0.0066390809649189145907]]),
+        (2, False, 0.95, 0.8, 3, [[0.42949243025799202659, 0.24000980109779216725],
+                                  [0.24000980109779216725, 0.42785990549207767894]]),
+    ])
+    def test_matches_reference_values_off_the_uniform_start(self, d, lazy, p, theta, index, ref):
+        got = limit_moments(validate_params(d, lazy, p, theta), InitialSpec.fixed(index)).second_moment
+        ref = np.array(ref)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_mean_is_zero(self):
         lm = limit_moments(validate_params(1, False, 0.95, 1.0), InitialSpec.uniform())
