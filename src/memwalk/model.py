@@ -226,6 +226,16 @@ def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> Wal
     return WalkState(state.n + 1, counts)
 
 
+def _checkpoint_marks(n_steps: int, checkpoints) -> list[int]:
+    """The distinct checkpoints in order, or [n_steps] when there are none; each must lie in [1, n_steps]."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    marks = sorted(set(int(c) for c in checkpoints)) or [n_steps]
+    if marks[0] < 1 or marks[-1] > n_steps:
+        raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
+    return marks
+
+
 def simulate(
     params: ModelParams,
     init: InitialSpec,
@@ -233,23 +243,20 @@ def simulate(
     checkpoints,
     rng: np.random.Generator,
 ) -> list[tuple[int, np.ndarray]]:
-    """Run one walk for ``n_steps`` steps, recording positions.
+    """Run one walk to its last checkpoint, recording positions.
 
     ``checkpoints`` is a sorted iterable of step indices in [1, n_steps];
-    an empty list records the final state only. The same rng seed gives
-    bit-identical records.
+    an empty list records the state at n_steps only. The walk stops at the
+    last checkpoint, so ``rng`` is left where that step leaves it. The
+    same rng seed gives bit-identical records.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    marks = sorted(set(int(c) for c in checkpoints)) or [n_steps]
-    if marks[0] < 1 or marks[-1] > n_steps:
-        raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
+    marks = _checkpoint_marks(n_steps, checkpoints)
     mark_set = set(marks)
     records = []
     state = initial_step(params, init, rng)
     if state.n in mark_set:
         records.append((state.n, state.position))
-    for _ in range(n_steps - 1):
+    for _ in range(marks[-1] - 1):
         state = step(params, state, rng)
         if state.n in mark_set:
             records.append((state.n, state.position))

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import theory
-from .model import InitialSpec, ModelParams, base_step_rates
+from .model import InitialSpec, ModelParams, _checkpoint_marks, base_step_rates
 from .theory import Regime, RegimeMismatchError
 
 _MASK64 = (1 << 64) - 1
@@ -310,11 +310,7 @@ def run_ensemble(
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a sample covariance")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    marks = sorted(set(int(c) for c in checkpoints)) or [n_steps]
-    if marks[0] < 1 or marks[-1] > n_steps:
-        raise ValueError(f"checkpoints must lie in [1, {n_steps}]")
+    marks = _checkpoint_marks(n_steps, checkpoints)
     if replicas * marks[-1] ** 2 >= 2**62:
         raise ValueError("replicas * n_steps^2 too large for exact integer accumulation")
     workers = _process_count(workers, replicas, _usable_cpus())

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -257,23 +258,52 @@ def martingale_square_series(params: ModelParams) -> float:
     return _square_series(params.second_eigenvalue)
 
 
-#: Ceiling on the memory of the tables exact_moments builds (1 GiB).
+#: Ceiling on the memory of the tables exact_moments can build (1 GiB),
+#: counting every table as if all were read.
 MAX_TABLE_BYTES = 1 << 30
 
 
-@dataclass
 class MomentTable:
     """Exact moments for n = 1..N, projected to position space.
 
+    Holds only the (N, 7) scalar weights of exact_moments, b, pi, its five
+    basis matrices and the pairing P. Each of steps, mean_counts,
+    counts_second, mean_position and position_cov is built on its first
+    read and kept; the position tables build no count table.
     mean_counts[n-1] sums to n; position_cov[n-1] is symmetric positive
     semidefinite up to roundoff.
     """
 
-    steps: np.ndarray
-    mean_counts: np.ndarray
-    counts_second: np.ndarray
-    mean_position: np.ndarray
-    position_cov: np.ndarray
+    def __init__(self, coef, b, pi, basis, proj):
+        self._coef, self._b, self._pi, self._basis, self._proj = coef, b, pi, basis, proj
+
+    def _mean(self) -> np.ndarray:
+        return np.outer(self._coef[:, 0], self._pi) + np.outer(self._coef[:, 1], self._b)
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        return np.arange(1, len(self._coef) + 1)
+
+    @cached_property
+    def mean_counts(self) -> np.ndarray:
+        return self._mean()
+
+    @cached_property
+    def counts_second(self) -> np.ndarray:
+        c, e = self._coef[:, 0], self._coef[:, 1]
+        # m m^T = e^2 b b^T + c e (b pi^T + pi b^T) + c^2 pi pi^T, so the raw
+        # second moment is one more combination of the same five matrices
+        second = self._coef[:, 2:].copy()
+        second[:, 2:] += np.column_stack([e * e, c * e, c * c])
+        return np.tensordot(second, self._basis, axes=1)
+
+    @cached_property
+    def mean_position(self) -> np.ndarray:
+        return self._mean() @ self._proj.T
+
+    @cached_property
+    def position_cov(self) -> np.ndarray:
+        return np.tensordot(self._coef[:, 2:], self._proj @ self._basis @ self._proj.T, axes=1)
 
 
 def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentTable:
@@ -291,11 +321,13 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
     Only these scalar weights are run forward, never divided by their
     running products, which vanish at lam = -1 and lam = -1/2. Exact up
     to roundoff; agrees with full path enumeration for small instances.
+    The returned table keeps only these weights and the fixed matrices,
+    and builds each of its tables on first read.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     K, d = params.K, params.d
-    # the returned tables, the coefficient table and its raw-moment copy
+    # every table as if all were read, the coefficient table and the raw-moment copy
     need = 8 * n_max * (15 + K + K * K + d + d * d)
     if need > MAX_TABLE_BYTES:
         raise ValueError(
@@ -313,23 +345,10 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
         x, y, g = 1.0 + lam * e / n, lam * c / n, 1.0 + 2.0 * lam / n
         wb, wp, wbb, wbp, wpp = g * wb + x, g * wp + y, g * wbb - x * x, g * wbp - x * y, g * wpp - y * y
         c, e = c + y, e + x
-    c, e, cov = coef[:, 0], coef[:, 1], coef[:, 2:]
-    # m m^T = e^2 b b^T + c e (b pi^T + pi b^T) + c^2 pi pi^T, so the raw
-    # second moment is one more combination of the same five matrices
-    second = cov.copy()
-    second[:, 2:] += np.column_stack([e * e, c * e, c * c])
     basis = np.stack([
         np.diag(b), np.diag(pi), np.outer(b, b), np.outer(b, pi) + np.outer(pi, b), np.outer(pi, pi),
     ])
-    proj = urn.pairing_matrix(params.d, params.lazy)
-    mean_counts = np.outer(c, pi) + np.outer(e, b)
-    return MomentTable(
-        steps=np.arange(1, n_max + 1),
-        mean_counts=mean_counts,
-        counts_second=np.tensordot(second, basis, axes=1),
-        mean_position=mean_counts @ proj.T,
-        position_cov=np.tensordot(cov, proj @ basis @ proj.T, axes=1),
-    )
+    return MomentTable(coef, b, pi, basis, urn.pairing_matrix(params.d, params.lazy))
 
 
 def _mean_position(params: ModelParams, init: InitialSpec, n: int) -> np.ndarray:

@@ -266,10 +266,24 @@ class TestSimulate:
 
     def test_checkpoint_validation(self):
         params = validate_params(1, False, 0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10\]"):
             simulate(params, InitialSpec.uniform(), 10, [0, 5], np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10\]"):
             simulate(params, InitialSpec.uniform(), 10, [11], np.random.default_rng(0))
+
+    def test_step_count_validation(self):
+        params = validate_params(1, False, 0.5, 0.5)
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            simulate(params, InitialSpec.uniform(), 0, [], np.random.default_rng(0))
+
+    def test_walk_stops_at_last_checkpoint(self):
+        params = validate_params(2, True, 0.7, 0.6)
+        rng, rng2 = np.random.default_rng(5), np.random.default_rng(5)
+        long = simulate(params, InitialSpec.uniform(), 1000, [10], rng)
+        short = simulate(params, InitialSpec.uniform(), 10, [10], rng2)
+        assert [n for n, _ in long] == [n for n, _ in short] == [10]
+        assert np.array_equal(long[0][1], short[0][1])
+        assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 class TestReferenceSampler:

@@ -319,10 +319,17 @@ class TestRunEnsemble:
 
     def test_checkpoint_bounds(self):
         params = validate_params(1, False, 0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10\]"):
             run_ensemble(params, UNIFORM, 10, [0], 4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 10\]"):
             run_ensemble(params, UNIFORM, 10, [20], 4, seed=0)
+
+    def test_step_count_checked_after_replicas(self):
+        params = validate_params(1, False, 0.5, 0.5)
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            run_ensemble(params, UNIFORM, 0, [], 4, seed=0)
+        with pytest.raises(ValueError, match="need at least 2 replicas"):
+            run_ensemble(params, UNIFORM, 0, [], 1, seed=0)
 
     def test_empty_checkpoints_record_final(self):
         params = validate_params(1, False, 0.5, 0.5)

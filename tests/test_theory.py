@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln, zeta
 
 from memwalk import oracle, theory, urn
-from memwalk.model import InitialSpec, validate_params
+from memwalk.model import InitialSpec, base_step_rates, validate_params
 from memwalk.theory import (
     Regime,
     RegimeMismatchError,
@@ -58,6 +58,43 @@ def assert_matches_recursion(params, init, n_max):
     second_err = np.abs(table.counts_second - seconds).max(axis=(1, 2))
     assert np.all(mean_err <= 1e-12 * scale), (params, init)
     assert np.all(second_err <= 1e-12 * scale), (params, init)
+
+
+TABLES = ("steps", "mean_counts", "counts_second", "mean_position", "position_cov")
+
+
+def eager_moment_tables(params, init, n_max):
+    """The five tables of exact_moments, all assembled at once from the weight recursion.
+
+    The reference that the tables exact_moments builds on first read must
+    equal bit for bit.
+    """
+    lam = params.second_eigenvalue
+    b = base_step_rates(params)
+    pi = init.distribution(params)
+    c, e = 1.0, 0.0
+    wb, wp, wbb, wbp, wpp = 0.0, 1.0, 0.0, 0.0, -1.0
+    coef = np.empty((n_max, 7))
+    for n in range(1, n_max + 1):
+        coef[n - 1] = c, e, wb, wp, wbb, wbp, wpp
+        x, y, g = 1.0 + lam * e / n, lam * c / n, 1.0 + 2.0 * lam / n
+        wb, wp, wbb, wbp, wpp = g * wb + x, g * wp + y, g * wbb - x * x, g * wbp - x * y, g * wpp - y * y
+        c, e = c + y, e + x
+    c, e, cov = coef[:, 0], coef[:, 1], coef[:, 2:]
+    second = cov.copy()
+    second[:, 2:] += np.column_stack([e * e, c * e, c * c])
+    basis = np.stack([
+        np.diag(b), np.diag(pi), np.outer(b, b), np.outer(b, pi) + np.outer(pi, b), np.outer(pi, pi),
+    ])
+    proj = urn.pairing_matrix(params.d, params.lazy)
+    mean_counts = np.outer(c, pi) + np.outer(e, b)
+    return dict(
+        steps=np.arange(1, n_max + 1),
+        mean_counts=mean_counts,
+        counts_second=np.tensordot(second, basis, axes=1),
+        mean_position=mean_counts @ proj.T,
+        position_cov=np.tensordot(cov, proj @ basis @ proj.T, axes=1),
+    )
 
 
 def first_steps(K):
@@ -485,6 +522,26 @@ class TestExactMoments:
             for n in (1, 2, 2_000, 100_000):
                 want = exact_moments(params, init, n).mean_position[-1]
                 assert np.array_equal(theory._mean_position(params, init, n), want)
+
+    @pytest.mark.parametrize("K", range(2, 8))
+    @pytest.mark.parametrize("theta", [0.0, 0.6, 1.0])
+    def test_tables_match_eager_assembly(self, K, theta):
+        params = validate_params(K // 2, K % 2 == 1, 0.7, theta)
+        starts = [InitialSpec.uniform(), InitialSpec.fixed(0), first_steps(K)[2]]
+        for init in starts:
+            for n in (1, 2, 50, 1_000):
+                table = exact_moments(params, init, n)
+                for name, want in eager_moment_tables(params, init, n).items():
+                    got = getattr(table, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (name, init, n)
+
+    def test_tables_built_on_first_read(self):
+        table = exact_moments(validate_params(2, True, 0.9, 1.0), InitialSpec.uniform(), 100)
+        assert not set(TABLES) & set(vars(table))
+        table.position_cov
+        table.mean_position
+        assert set(vars(table)) & set(TABLES) == {"position_cov", "mean_position"}
+        assert table.mean_position is table.mean_position
 
     def test_oversized_tables_rejected_before_allocation(self):
         params = validate_params(2, True, 0.5, 0.5)
