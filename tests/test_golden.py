@@ -31,12 +31,12 @@ GOLDEN = [
     ("verify --tag lln --d 2 --theta 0.8 --p 0.5 --init fixed:3 --steps 500 --reps 60 --seed 4",
      0, "012b4dc1a2ecabd39758eceea1e6fa765f7f4a17d7790ad4a32ef004352687b6"),
     ("verify --tag clt-diffusive --d 1 --theta 1 --p 0.6 --steps 300 --reps 1000 --seed 5",
-     0, "c26cb558885b585c8c583a8d70f1c16cf527c002eeef6c7dc1ea5ede4fc44eb6"),
+     0, "ce1dcc30d53ed00938a4d4f895a89d6667c4926ede6ad1324e28dd3d799354ef"),
     # n = 30 is far from the n log n limit: a fail
     ("verify --tag clt-critical --d 1 --theta 1 --p 0.75 --checkpoints 30,3000 --reps 400 --seed 7",
-     2, "e085a8351a1a1b2ad28494fe69d558d6b51547b0c869cc28236e19a829be110d"),
+     2, "768a01383a36ad4d3469697548a3832e3145529a2e4d5d15dc85294f66833d2d"),
     ("verify --tag clt-critical --d 2 --theta 1 --p 0.625 --checkpoints 50,2000 --reps 300 --seed 8",
-     0, "bcd257f79a2066153ae45fa2ed113f8e6342fef5a80f8b99ad4306709bd7faa6"),
+     0, "88f7383d143d4333a86b1d4df5db7057d3065bf0cd129ac613fc25120a56855e"),
     ("verify --tag superdiffusive --d 1 --theta 1 --p 0.9 --steps 2000 --reps 200 --seed 9",
      0, "bbd15759a1baf30a53f45759f1eae4d471ef99c1649190223cca07930ff1fc5a"),
     ("verify --tag moments --d 1 --theta 1 --p 0.9 --init fixed:0 --steps 2000 --reps 500 --seed 10",

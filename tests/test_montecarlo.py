@@ -27,9 +27,19 @@ from memwalk.montecarlo import (
     scaling_exponent,
     verify,
 )
-from memwalk.theory import RegimeMismatchError
+from memwalk.theory import Regime, RegimeMismatchError
 
 UNIFORM = InitialSpec.uniform()
+
+#: Small verify budgets per tag: the verify-wide specs of benchmarks/workloads.py
+#: at small R, lln's and superdiffusive's (tag, p, theta, budget overrides)
+SMALL_VERIFY = [
+    ("clt-diffusive", 0.6, 1.0, dict(n_steps=500, replicas=1_000, cross_time=(1.0, 4.0, 500))),
+    ("clt-critical", 0.75, 1.0, dict(replicas=400, checkpoints=[500, 5_000])),
+    ("moments", 0.9, 1.0, dict(n_steps=2_000, replicas=1_000)),
+    ("lln", 0.8, 0.3, dict(n_steps=5_000, replicas=100)),
+    ("superdiffusive", 0.9, 1.0, dict(n_steps=2_000, replicas=200)),
+]
 
 
 def reference_block(
@@ -459,6 +469,13 @@ class TestWorkerPool:
         assert same_summary(self.run(2), want)
         assert self.worker_pids() == pids and len(pids) == 2
 
+    def test_import_loads_no_pool_modules(self):
+        # the pool's modules load with the first pooled call
+        code = "import sys, memwalk; print([m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))])"
+        out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "[]\n"
+
     def test_killed_workers_are_replaced(self):
         want = self.run(1)
         self.run(2)
@@ -638,10 +655,14 @@ class TestVerify:
         assert "lln" in text
 
     @pytest.mark.parametrize("tag, p, overrides, key, gate", [
-        # each would pass its default gate: rel 0.028 against 0.05 and 0.039 against 0.10
+        # each would pass its default gate: 0.028 against 0.05, 0.039 against 0.10,
+        # 0.92 SE against 4, 0.0024 against 0.15 and 0.022 against 0.10
         ("moments", 0.9, dict(n_steps=2_000, replicas=2_000), "second_moment_rel", "_TOLERANCE_MOMENT"),
         ("clt-diffusive", 0.6, dict(n_steps=500, replicas=2_000, cross_time=(1.0, 4.0, 500)),
          "cross_time_rel", "_TOLERANCE_CROSS_TIME"),
+        ("lln", 0.8, dict(n_steps=2_000, replicas=100), "se_units", "_TOLERANCE_SE"),
+        ("clt-critical", 0.75, dict(replicas=400, checkpoints=[500, 5_000]), "vs_theory_rel", "_TOLERANCE_CRITICAL"),
+        ("superdiffusive", 0.9, dict(n_steps=2_000, replicas=200), "abs", "_TOLERANCE_EXPONENT"),
     ])
     def test_zero_relative_tolerance_is_kept(self, monkeypatch, tag, p, overrides, key, gate):
         monkeypatch.setattr(montecarlo, gate, 0.0)
@@ -654,7 +675,7 @@ class TestVerify:
         params = validate_params(1, False, 0.75, 1.0)
         budget = VerifyBudget(n_steps=30, replicas=2_000, checkpoints=[3, 30])
         report = verify("clt-critical", params, budget)
-        assert report.tolerance["rel"] == 0.15
+        assert report.tolerance["vs_theory_rel"] == 0.15
         assert report.config["n_steps"] == 30 and report.config["replicas"] == 2_000
 
     def test_gates_share_one_zero_rule(self):
@@ -664,6 +685,45 @@ class TestVerify:
         assert montecarlo._rel(np.array([1.0, 2.0]), np.array([-1.0, 4.0])) == 0.5
         assert montecarlo._rel(np.zeros(2), np.zeros(2)) == 0.0
         assert montecarlo._rel(np.array([0.0, 1e-3]), np.zeros(2)) == np.inf
+        # the largest theory entry by magnitude is negative
+        assert montecarlo._rel(np.array([-3.0, 1.0]), np.array([-4.0, 1.0])) == 0.25
+
+    @pytest.mark.parametrize("discrepancy, passed", [
+        ({"a": np.array([1.0, 0.5]), "b": 2.0}, True),  # a tie passes
+        ({"a": np.array([1.0, np.nextafter(1.0, 2.0)]), "b": 2.0}, False),
+        ({"a": np.array([np.nan, 0.5]), "b": 2.0}, False),
+        ({"a": np.zeros(2), "b": np.inf}, False),
+    ])
+    def test_verdict_is_one_rule_over_the_dicts(self, monkeypatch, discrepancy, passed):
+        def verifier(params, budget):
+            return dict(theoretical={}, empirical={}, discrepancy=discrepancy, tolerance={"a": 1.0, "b": 2.0})
+
+        monkeypatch.setitem(montecarlo._VERIFIERS, "lln", (verifier, tuple(Regime), {}))
+        report = verify("lln", validate_params(1, False, 0.8, 0.3))
+        assert report.passed is passed
+
+    @pytest.mark.parametrize("tag, p, theta, overrides", SMALL_VERIFY)
+    def test_gates_are_the_readme_values(self, tag, p, theta, overrides):
+        readme = {
+            "lln": {"se_units": 4.0},
+            "clt-diffusive": {"covariance_se_units": 4.0, "shape_se_units": 4.0, "cross_time_rel": 0.10},
+            "clt-critical": {"between_checkpoints_rel": 0.15, "vs_theory_rel": 0.15},
+            "superdiffusive": {"abs": 0.10},
+            "moments": {"second_moment_rel": 0.05, "mean_se_units": 4.0},
+        }
+        report = verify(tag, validate_params(1, False, p, theta), default_budget(tag, seed=5, **overrides))
+        assert report.tolerance == readme[tag]
+        assert list(report.tolerance) == list(report.discrepancy)
+        assert report.passed is True
+
+    def test_clt_critical_gates_read_the_first_and_last_marks(self):
+        params = validate_params(1, False, 0.75, 1.0)
+        budget = default_budget("clt-critical", seed=5, replicas=400, checkpoints=[5_000, 50, 500])
+        report = verify("clt-critical", params, budget)
+        ratios, th = report.empirical["trace_over_nlogn"], report.theoretical["trace_over_nlogn"]
+        first, last = ratios[50], ratios[5_000]
+        assert report.discrepancy["between_checkpoints_rel"] == pytest.approx(abs(last - first) / first, rel=1e-12)
+        assert report.discrepancy["vs_theory_rel"] == pytest.approx(abs(last - th) / th, rel=1e-12)
 
     def test_zero_theory_covariance_reads_infinite_se_units(self):
         # at theta = 0, p = 1 only the first step is random: the limit covariance is 0,
@@ -676,13 +736,7 @@ class TestVerify:
         assert report.discrepancy["covariance_se_units"][0, 0] == np.inf
         assert not report.passed
 
-    @pytest.mark.parametrize("tag, p, theta, overrides", [
-        # the verify-wide specs of benchmarks/workloads.py at small R, and lln's small budget
-        ("clt-diffusive", 0.6, 1.0, dict(n_steps=500, replicas=1_000, cross_time=(1.0, 4.0, 500))),
-        ("clt-critical", 0.75, 1.0, dict(replicas=400, checkpoints=[500, 5_000])),
-        ("moments", 0.9, 1.0, dict(n_steps=2_000, replicas=1_000)),
-        ("lln", 0.8, 0.3, dict(n_steps=5_000, replicas=100)),
-    ])
+    @pytest.mark.parametrize("tag, p, theta, overrides", SMALL_VERIFY)
     def test_reports_are_finite_json(self, tag, p, theta, overrides):
         # a new 0/0 in a gate would reach the report as NaN or Infinity; the report
         # object is dumped, since as_dict writes every non-finite float as null
@@ -732,6 +786,12 @@ class TestVerify:
         params = validate_params(1, False, 0.9, 1.0)
         with pytest.raises(ValueError, match=message):
             verify("superdiffusive", params, default_budget("superdiffusive", checkpoints=marks))
+
+    def test_clt_critical_mark_below_two_fails_before_the_walks(self, no_walks):
+        # n log n is 0 at n = 1
+        params = validate_params(1, False, 0.75, 1.0)
+        with pytest.raises(ValueError, match="checkpoints of at least 2, where n log n > 0"):
+            verify("clt-critical", params, VerifyBudget(replicas=2_000, seed=3, checkpoints=[1, 1_000]))
 
     def test_clt_diffusive_replica_floor_before_the_walks(self, no_walks):
         params = validate_params(1, False, 0.6, 1.0)

@@ -203,6 +203,27 @@ class TestCountLaws:
 class TestCountLattice:
     """Sizes beyond reach of path enumeration."""
 
+    @pytest.mark.parametrize("d, lazy, n", [(1, False, 60), (1, True, 40)])
+    def test_rows_sorted_and_summed_in_the_order_of_the_children(self, d, lazy, n):
+        # a forward pass over a dict, parents in lexicographic order and each child's
+        # weights added in turn, gives the same rows and the same probabilities bit for bit
+        params = validate_params(d, lazy, 0.9, 0.8)
+        init = InitialSpec.uniform()
+        kernel = oracle._walk_kernel(params)
+        K = params.K
+        law = dict(zip(map(tuple, np.eye(K, dtype=np.int64).tolist()), init.distribution(params).tolist()))
+        for m in range(1, n):
+            parents = sorted(law)
+            weights = np.array([law[s] for s in parents])[:, None] * kernel(np.array(parents), m)
+            law = {}
+            for state, row in zip(parents, weights.tolist()):
+                for k, w in enumerate(row):
+                    child = state[:k] + (state[k] + 1,) + state[k + 1:]
+                    law[child] = law.get(child, 0.0) + w
+        states, probs = oracle._count_law(params, init, n, kernel)
+        assert list(map(tuple, states.tolist())) == sorted(law)
+        assert probs.tolist() == [law[s] for s in sorted(law)]
+
     @pytest.mark.parametrize(
         "d,lazy,n,init",
         [

@@ -1,0 +1,128 @@
+"""Mutation check: apply one-line faults to a copy of the checkout and see whether the tests catch each.
+
+Each entry of MUTANTS names a source file, an old text that occurs exactly
+once in it, the new text that replaces it, and the test paths (files or
+pytest node ids) that should catch the fault. For each mutant the runner
+copies the checkout without its .git to a temporary directory, applies the
+mutant there, runs the mutant's tests in one pytest process and records
+"killed" if a test fails or "survived" if all pass. Mutants run one at a
+time. Criterion 9 fails at every commit by design, so it is deselected:
+only another failure kills a mutant.
+
+    python tools/mutants.py                        # every mutant, JSON on stdout
+    python tools/mutants.py rel-max-th --out m.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+KNOWN_RED = "tests/test_acceptance.py::test_criterion_09_limit_moments"
+MC, THEORY, ORACLE = "src/memwalk/montecarlo.py", "src/memwalk/theory.py", "src/memwalk/oracle.py"
+VERIFY_TESTS = ("tests/test_montecarlo.py::TestVerify",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    # the gates and the verdict rule
+    Mutant("tolerance-se", MC, "_TOLERANCE_SE = 4.0", "_TOLERANCE_SE = 5.0", VERIFY_TESTS),
+    Mutant("tolerance-cross-time", MC, "_TOLERANCE_CROSS_TIME = 0.10", "_TOLERANCE_CROSS_TIME = 0.20", VERIFY_TESTS),
+    Mutant("tolerance-moment", MC, "_TOLERANCE_MOMENT = 0.05", "_TOLERANCE_MOMENT = 0.10", VERIFY_TESTS),
+    Mutant("critical-swapped-marks", MC, "r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]",
+           "r_first, r_last = ratios[max(ratios)], ratios[min(ratios)]", VERIFY_TESTS),
+    Mutant("rel-max-th", MC, "np.max(np.abs(th))", "np.max(th)", VERIFY_TESTS),
+    Mutant("verdict-strict", MC, "np.less_equal(v, found", "np.less(v, found", VERIFY_TESTS),
+    Mutant("scaling-one-decade", MC, "if max(marks) < 100 * min(marks):", "if max(marks) < 10 * min(marks):",
+           VERIFY_TESTS),
+    Mutant("json-null-isnan", MC, "not np.isfinite(obj)", "np.isnan(obj)", ("tests/test_cli.py",)),
+    # the samplers
+    Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
+           "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
+    Mutant("step-skip-rule", "src/memwalk/model.py", "idx += idx >= remembered", "idx += idx > remembered",
+           ("tests/test_model.py",)),
+    # the moment engine and the limit
+    Mutant("growth-factor", THEORY, "1.0 + 2.0 * lam / n", "1.0 + 2.0 * lam / (n + 1)",
+           ("tests/test_theory.py::TestExactMoments",)),
+    Mutant("sigma-recursion", THEORY, "g * wbb - x * x", "g * wbb - x * y",
+           ("tests/test_theory.py::TestExactMoments",)),
+    Mutant("b0-weight", THEORY, "+ b0 / (2.0 * r - 1.0)", "+ b0 / (2.0 * r)",
+           ("tests/test_theory.py::TestLimitMoments",)),
+    Mutant("b1-weight", THEORY, "+ np.diag(w) - np.outer(v, w) - np.outer(w, v)",
+           "- np.diag(w) + np.outer(v, w) + np.outer(w, v)", ("tests/test_theory.py::TestLimitMoments",)),
+    Mutant("b1-asymmetric", THEORY, "- np.outer(v, w) - np.outer(w, v)", "- 2.0 * np.outer(v, w)",
+           ("tests/test_theory.py::TestLimitMoments",)),
+    Mutant("t2-weight", THEORY, "/ math.gamma(1.0 + r) ** 2 - 1.0", "/ math.gamma(1.0 + r) ** 2",
+           ("tests/test_theory.py::TestSquareSeries", "tests/test_theory.py::TestLimitMoments")),
+    Mutant("c2-term", THEORY, "+ 0.5 * c1 * c1", "+ c1 * c1", ("tests/test_theory.py::TestSquareSeries",)),
+    # the exact oracle
+    Mutant("urn-kernel-transpose", ORACLE, "states @ A.T / m", "states @ A / m", ("tests/test_oracle.py",)),
+    Mutant("lattice-sort-key", ORACLE, "np.lexsort(children.T[::-1])", "np.lexsort(children.T)",
+           ("tests/test_oracle.py::TestCountLattice",)),
+    Mutant("lattice-stable-sort", ORACLE, "np.lexsort(children.T[::-1])",
+           'np.argsort(np.ravel_multi_index(children.T, (m + 2,) * K), kind="quicksort")',
+           ("tests/test_oracle.py::TestCountLattice",)),
+    Mutant("marginal-symmetrisation", ORACLE, "position_cov=0.5 * (cov + cov.T),", "position_cov=cov,",
+           ("tests/test_oracle.py",)),
+]
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Replace the mutant's one old text in its file under ``root``."""
+    path = root / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def run(mutant: Mutant) -> str:
+    """'killed' or 'survived' for one mutant, tested in a fresh copy of the checkout."""
+    with tempfile.TemporaryDirectory(prefix="memwalk-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".*_cache", ".bench*"))
+        apply(mutant, copy)
+        path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--deselect", KNOWN_RED]
+        proc = subprocess.run(argv + list(mutant.tests), cwd=copy, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):  # 1: tests failed; anything else is a broken run, not a kill
+        raise RuntimeError(f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
+    return "survived" if proc.returncode == 0 else "killed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--out", help="write the JSON here instead of stdout")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = set(args.names) - set(known)
+    if unknown:
+        parser.error(f"unknown mutants: {sorted(unknown)}")
+    results = {name: run(known[name]) for name in args.names or known}
+    text = json.dumps(results, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0 if "survived" not in results.values() else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
