@@ -272,7 +272,6 @@ _pool = None  # (pid that made it, workers, executor): the process's one worker 
 def _end_with_parent() -> None:
     """Pool worker initializer: exit as soon as the parent process is gone."""
     import multiprocessing.connection
-
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch() -> None:
@@ -320,7 +319,6 @@ def run_ensemble(
         blocks = [_simulate_block(*args, 0, replicas, retain_samples)]
     else:
         import concurrent.futures
-
         global _pool
         for retry in (False, True):
             # a forked child, or a call that needs more workers, makes a new pool
