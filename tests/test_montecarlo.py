@@ -31,8 +31,8 @@ from memwalk.theory import Regime, RegimeMismatchError
 
 UNIFORM = InitialSpec.uniform()
 
-#: Small verify budgets per tag: the verify-wide specs of benchmarks/workloads.py
-#: at small R, lln's and superdiffusive's (tag, p, theta, budget overrides)
+#: (tag, p, theta, budget overrides) at small budgets: the verify-wide specs of
+#: benchmarks/workloads.py at small R, then lln and superdiffusive
 SMALL_VERIFY = [
     ("clt-diffusive", 0.6, 1.0, dict(n_steps=500, replicas=1_000, cross_time=(1.0, 4.0, 500))),
     ("clt-critical", 0.75, 1.0, dict(replicas=400, checkpoints=[500, 5_000])),
