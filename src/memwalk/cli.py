@@ -127,6 +127,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_theory(cfg: RunConfig) -> int:
     params = validate_params(cfg.d, cfg.lazy, cfg.p, cfg.theta)
+    init = _parse_init(cfg.init)
+    init.distribution(params)  # checks the start against K at every regime, not only where it is read
     regime = theory.classify_regime(params)
     doc = {
         "params": {"d": params.d, "lazy": params.lazy, "K": params.K, "p": params.p, "theta": params.theta},
@@ -150,7 +152,7 @@ def cmd_theory(cfg: RunConfig) -> int:
             "covariance_unit_time": theory.critical_covariance(params, 1.0, 1.0),
         }
     if regime is Regime.SUPERDIFFUSIVE:
-        limit = theory.limit_moments(params, _parse_init(cfg.init))
+        limit = theory.limit_moments(params, init)
         doc["superdiffusive"] = {
             "exponent": 2.0 * params.second_eigenvalue,
             "weight_square_series": theory.martingale_square_series(params),

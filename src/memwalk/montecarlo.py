@@ -465,7 +465,9 @@ def gaussianity_check(samples: np.ndarray) -> list[ShapeStats]:
 class VerifyBudget:
     """Replica/step budget for one verification experiment.
 
-    A field left None takes the tag's default from ``_VERIFIERS``.
+    n_steps and replicas left None take the tag's defaults from ``_VERIFIERS``.
+    Left None, checkpoints are clt-critical's [n_steps // 10, n_steps] and superdiffusive's
+    scaling_checkpoints(n_steps, 7), and cross_time (s, t, n_scale) is clt-diffusive's (1.0, 4.0, n_steps).
     """
 
     n_steps: int | None = None
@@ -479,8 +481,8 @@ class VerifyBudget:
 
 def default_budget(tag: str, **overrides) -> VerifyBudget:
     """Budget matching the acceptance gates for ``tag``: the keyword
-    overrides, with every field they leave None taken from the tag's
-    ``_VERIFIERS`` entry."""
+    overrides, with n_steps and replicas, where they leave them None, taken
+    from the tag's ``_VERIFIERS`` entry."""
     if tag not in _VERIFIERS:
         raise ValueError(f"unknown verification tag {tag!r}")
     budget = VerifyBudget(**overrides)
@@ -573,7 +575,7 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     # a degenerate coordinate's shape reads NaN, which fails
     shape_z = [(s.skew_z, s.kurt_z) for s in gaussianity_check(summary.samples[n])]
 
-    s_time, t_time, n_scale = budget.cross_time
+    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
     cross_emp = cross_time_covariance(
         params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
     )
@@ -591,14 +593,15 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
 
 
 def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
-    if len(set(budget.checkpoints)) < 2:
-        raise ValueError(f"clt-critical needs two distinct checkpoints, got {budget.checkpoints}")
-    if min(budget.checkpoints) < 2:
-        raise ValueError(f"clt-critical needs checkpoints of at least 2, where n log n > 0, got {budget.checkpoints}")
-    summary = run_ensemble(
-        params, budget.init, budget.n_steps, budget.checkpoints, budget.replicas, budget.seed,
-        workers=budget.workers,
-    )
+    n = budget.n_steps
+    if budget.checkpoints is None and n < 20:
+        raise ValueError(f"clt-critical needs n_steps of at least 20, so that n_steps // 10 >= 2, got {n}")
+    marks = [n // 10, n] if budget.checkpoints is None else budget.checkpoints
+    if len(set(marks)) < 2:
+        raise ValueError(f"clt-critical needs two distinct checkpoints, got {marks}")
+    if min(marks) < 2:
+        raise ValueError(f"clt-critical needs checkpoints of at least 2, where n log n > 0, got {marks}")
+    summary = run_ensemble(params, budget.init, n, marks, budget.replicas, budget.seed, workers=budget.workers)
     th = float(np.trace(theory.critical_covariance(params, 1.0, 1.0)))
     ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
     r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
@@ -658,18 +661,13 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
 CHECKPOINT_TAGS = ("clt-critical", "superdiffusive")  # the tags whose ensembles read checkpoints
 
 #: Per tag: the verifier, the regimes its claim is about and the default
-#: budget sizes, which fill every field a caller's VerifyBudget leaves None.
+#: n_steps and replicas, which fill those a caller's VerifyBudget leaves None.
 #: The gates are the _TOLERANCE_* constants above.
 _VERIFIERS = {
     "lln": (_verify_lln, tuple(Regime), dict(n_steps=100_000, replicas=200)),
-    "clt-diffusive": (
-        _verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION),
-        dict(n_steps=10_000, replicas=10_000, cross_time=(1.0, 4.0, 10_000)),
-    ),
-    "clt-critical": (
-        _verify_clt_critical, (Regime.CRITICAL,),
-        dict(n_steps=10_000, replicas=4_000, checkpoints=[1_000, 10_000]),
-    ),
+    "clt-diffusive": (_verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION),
+                      dict(n_steps=10_000, replicas=10_000)),
+    "clt-critical": (_verify_clt_critical, (Regime.CRITICAL,), dict(n_steps=10_000, replicas=4_000)),
     "superdiffusive": (_verify_superdiffusive, (Regime.SUPERDIFFUSIVE,), dict(n_steps=100_000, replicas=2_000)),
     "moments": (_verify_moments, (Regime.SUPERDIFFUSIVE,), dict(n_steps=100_000, replicas=10_000)),
 }

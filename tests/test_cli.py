@@ -73,6 +73,13 @@ class TestTheoryCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("init", ["bogus", "fixed:99", "custom:/nonexistent"])
+    def test_bad_init_exits_one_at_a_diffusive_point(self, capsys, init):
+        # the diffusive document never reads the start, but a bad one is still an error
+        code, out, err = run_cli(capsys, "theory", "--d", "1", "--theta", "1", "--p", "0.6", "--init", init)
+        assert (code, out) == (1, "")
+        assert err.startswith("memwalk: error:")
+
     @pytest.mark.parametrize("p", ["0.6", "0.75", "0.9"])
     def test_output_matches_documented_schema(self, capsys, p):
         schema = load_schema("theory")
@@ -222,10 +229,11 @@ class TestVerifyCommand:
         assert "two distinct checkpoints" in err
 
     def test_config_reports_the_steps_run(self, capsys):
-        # both tags run to their last checkpoint, whatever --steps says
+        # without checkpoints clt-critical runs --steps (its marks are 200 and 2 000);
+        # with them a run ends at its last checkpoint, whatever --steps says
         common = ["--d", "1", "--theta", "1", "--steps", "2000", "--reps", "200", "--seed", "7"]
         _, out, _ = run_cli(capsys, "verify", "--tag", "clt-critical", "--p", "0.75", *common)
-        assert json.loads(out)["config"]["n_steps"] == 10_000  # default checkpoints 1 000, 10 000
+        assert json.loads(out)["config"]["n_steps"] == 2_000
         _, out, _ = run_cli(capsys, "verify", "--tag", "superdiffusive", "--p", "0.9",
                             "--checkpoints", "10,100,1000", *common)
         assert json.loads(out)["config"]["n_steps"] == 1_000

@@ -30,8 +30,12 @@ GOLDEN = [
      0, "3d2d71963b44ed4f3a01a1998577b1d92fdefdee80f38af58e28180c7dd38485"),
     ("verify --tag lln --d 2 --theta 0.8 --p 0.5 --init fixed:3 --steps 500 --reps 60 --seed 4",
      0, "012b4dc1a2ecabd39758eceea1e6fa765f7f4a17d7790ad4a32ef004352687b6"),
+    # the cross-time ensemble walks to 4 * 300 steps; its gate reads 0.089 against 0.10
     ("verify --tag clt-diffusive --d 1 --theta 1 --p 0.6 --steps 300 --reps 1000 --seed 5",
-     0, "ce1dcc30d53ed00938a4d4f895a89d6667c4926ede6ad1324e28dd3d799354ef"),
+     0, "d59414d59dabebf09364d36dfdb37d27430eb78b6b3d34bc329050d5e4ae086e"),
+    # no checkpoints: the marks are 300 and 3 000
+    ("verify --tag clt-critical --d 1 --theta 1 --p 0.75 --steps 3000 --reps 400 --seed 7",
+     0, "b42e160a2b349068fbd349c92d716d37a3bbae0a0f1304e4d24da481cb40112b"),
     # n = 30 is far from the n log n limit: a fail
     ("verify --tag clt-critical --d 1 --theta 1 --p 0.75 --checkpoints 30,3000 --reps 400 --seed 7",
      2, "768a01383a36ad4d3469697548a3832e3145529a2e4d5d15dc85294f66833d2d"),

@@ -793,6 +793,28 @@ class TestVerify:
         with pytest.raises(ValueError, match="checkpoints of at least 2, where n log n > 0"):
             verify("clt-critical", params, VerifyBudget(replicas=2_000, seed=3, checkpoints=[1, 1_000]))
 
+    @pytest.mark.parametrize("n_steps", [1, 19])
+    def test_clt_critical_derived_mark_below_two_fails_before_the_walks(self, no_walks, n_steps):
+        # the derived first mark n_steps // 10 is below 2; no checkpoint was given
+        params = validate_params(1, False, 0.75, 1.0)
+        with pytest.raises(ValueError, match=rf"needs n_steps of at least 20, .*got {n_steps}$"):
+            verify("clt-critical", params, VerifyBudget(n_steps=n_steps, replicas=100))
+
+    def test_sizes_follow_n_steps(self, monkeypatch):
+        # with no cross_time and no checkpoints, every ensemble is sized from n_steps
+        walked = []
+        real = montecarlo.run_ensemble
+
+        def spy(params, init, n_steps, checkpoints, replicas, seed, **kwargs):
+            walked.append((replicas, n_steps, set(checkpoints)))
+            return real(params, init, n_steps, checkpoints, replicas, seed, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", spy)
+        verify("clt-diffusive", validate_params(1, False, 0.6, 1.0), VerifyBudget(n_steps=200, replicas=1_000))
+        verify("clt-critical", validate_params(1, False, 0.75, 1.0), VerifyBudget(n_steps=300, replicas=100))
+        verify("clt-critical", validate_params(1, False, 0.75, 1.0), VerifyBudget(n_steps=20, replicas=100))
+        assert walked == [(1_000, 200, {200}), (1_000, 800, {200, 800}), (100, 300, {30, 300}), (100, 20, {2, 20})]
+
     def test_clt_diffusive_replica_floor_before_the_walks(self, no_walks):
         params = validate_params(1, False, 0.6, 1.0)
         with pytest.raises(ValueError) as early:

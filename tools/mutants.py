@@ -51,6 +51,11 @@ MUTANTS = [
     Mutant("scaling-one-decade", MC, "if max(marks) < 100 * min(marks):", "if max(marks) < 10 * min(marks):",
            VERIFY_TESTS),
     Mutant("json-null-isnan", MC, "not np.isfinite(obj)", "np.isnan(obj)", ("tests/test_cli.py",)),
+    # the sizes derived from n_steps
+    Mutant("cross-time-fixed-scale", MC, "(1.0, 4.0, n)", "(1.0, 4.0, 10_000)",
+           ("tests/test_montecarlo.py::TestVerify::test_sizes_follow_n_steps",)),
+    Mutant("critical-first-mark", MC, "n // 10", "n // 100",
+           ("tests/test_montecarlo.py::TestVerify::test_sizes_follow_n_steps",)),
     # the samplers
     Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
            "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
