@@ -23,7 +23,7 @@ import numpy as np
 
 from . import montecarlo, oracle, theory
 from .model import InitialSpec, validate_params
-from .theory import Regime, RegimeMismatchError
+from .theory import Regime
 
 
 class UsageError(Exception):
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[cfg.subcommand][0](cfg)
-    except (UsageError, RegimeMismatchError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"memwalk: error: {exc}", file=sys.stderr)
         return 1
 

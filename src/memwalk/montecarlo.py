@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import theory
+from . import theory, urn
 from .model import InitialSpec, ModelParams, _checkpoint_marks, base_step_rates
 from .theory import Regime, RegimeMismatchError
 
@@ -244,7 +244,7 @@ def _simulate_block(
                     np.greater_equal(acc, u, out=hit)
                 np.add(rows[-1], hit, out=rows[-1])
             counts = np.diff(cum, axis=0, prepend=0.0, append=float(mark))
-            pos = (counts[0 : 2 * d : 2] - counts[1 : 2 * d : 2]).astype(np.int64).T
+            pos = urn.counts_to_position(counts.T, d, params.lazy).astype(np.int64)
             sum_x[ci] += pos.sum(axis=0)
             sum_xx[ci] += pos.T @ pos
             if samples is not None:
@@ -310,7 +310,8 @@ def run_ensemble(
         raise ValueError("need at least 2 replicas for a sample covariance")
     marks = _checkpoint_marks(n_steps, checkpoints)
     if replicas * marks[-1] ** 2 >= 2**62:
-        raise ValueError("replicas * n_steps^2 too large for exact integer accumulation")
+        size = f"{replicas} * {marks[-1]}^2"
+        raise ValueError(f"replicas * n_steps^2 = {size} is not below 2^62, the limit of exact int64 sums")
     workers = _process_count(workers, replicas, _usable_cpus())
     bounds = np.linspace(0, replicas, workers + 1, dtype=int)
     tasks = list(zip(bounds, bounds[1:]))
@@ -561,11 +562,16 @@ def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
 def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     R = budget.replicas
-    _require_shape_samples(R)  # before the walks, not after them in gaussianity_check
-    summary = run_ensemble(
-        params, budget.init, n, [n], R, budget.seed,
-        workers=budget.workers, retain_samples=True,
+    # before any walk: the replica floor, and run_ensemble's int64 bound on the larger ensemble, which walks first
+    _require_shape_samples(R)
+    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
+    cross_emp = cross_time_covariance(
+        params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
     )
+    cross_th = theory.diffusive_covariance(params, s_time, t_time)
+    cross_rel = _rel(cross_emp, cross_th)
+
+    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers, retain_samples=True)
     cp = summary.at(n)
     th = theory.diffusive_covariance(params, 1.0, 1.0)
     emp = cp.cov / n
@@ -574,13 +580,6 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     z = _se_units(emp - th, se)
     # a degenerate coordinate's shape reads NaN, which fails
     shape_z = [(s.skew_z, s.kurt_z) for s in gaussianity_check(summary.samples[n])]
-
-    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
-    cross_emp = cross_time_covariance(
-        params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
-    )
-    cross_th = theory.diffusive_covariance(params, s_time, t_time)
-    cross_rel = _rel(cross_emp, cross_th)
 
     return dict(
         theoretical={"covariance_over_n": th, "cross_time": cross_th},
@@ -694,7 +693,7 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
         allowed = " or ".join(r.value for r in regimes)
         raise RegimeMismatchError(f"tag {tag} needs a {allowed} point, got {regime.value}")
     config = {
-        "params": {"d": params.d, "lazy": params.lazy, "p": params.p, "theta": params.theta},
+        "params": dataclasses.asdict(params),
         "n_steps": budget.n_steps,
         "replicas": budget.replicas,
         "seed": budget.seed,

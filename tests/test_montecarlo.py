@@ -341,6 +341,22 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="need at least 2 replicas"):
             run_ensemble(params, UNIFORM, 0, [], 1, seed=0)
 
+    def test_int64_bound_at_its_first_failing_size(self, monkeypatch):
+        # at R = 1 000, 67 909 396 is the first n_steps with R * n_steps^2 >= 2^62
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", walk)
+        params = validate_params(1, False, 0.5, 0.5)
+        message = r"replicas \* n_steps\^2 = 1000 \* 67909396\^2 is not below 2\^62, the limit of exact int64 sums"
+        with pytest.raises(ValueError, match=message):
+            run_ensemble(params, UNIFORM, 67_909_396, [], 1_000, seed=0)
+        with pytest.raises(Walked):
+            run_ensemble(params, UNIFORM, 67_909_395, [], 1_000, seed=0)
+
     def test_empty_checkpoints_record_final(self):
         params = validate_params(1, False, 0.5, 0.5)
         summary = run_ensemble(params, UNIFORM, 25, [], 8, seed=0)
@@ -813,7 +829,17 @@ class TestVerify:
         verify("clt-diffusive", validate_params(1, False, 0.6, 1.0), VerifyBudget(n_steps=200, replicas=1_000))
         verify("clt-critical", validate_params(1, False, 0.75, 1.0), VerifyBudget(n_steps=300, replicas=100))
         verify("clt-critical", validate_params(1, False, 0.75, 1.0), VerifyBudget(n_steps=20, replicas=100))
-        assert walked == [(1_000, 200, {200}), (1_000, 800, {200, 800}), (100, 300, {30, 300}), (100, 20, {2, 20})]
+        assert walked == [(1_000, 800, {200, 800}), (1_000, 200, {200}), (100, 300, {30, 300}), (100, 20, {2, 20})]
+
+    def test_clt_diffusive_oversize_fails_before_the_walks(self, monkeypatch):
+        # the n_steps ensemble passes the int64 bound at this size; the 4 * n_steps one does not
+        def walk(*args):
+            raise AssertionError("an ensemble walked before the int64 bound was checked")
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", walk)
+        params = validate_params(1, False, 0.6, 1.0)
+        with pytest.raises(ValueError, match=r"1000 \* 80000000\^2 is not below 2\^62"):
+            verify("clt-diffusive", params, VerifyBudget(n_steps=20_000_000, replicas=1_000))
 
     def test_clt_diffusive_replica_floor_before_the_walks(self, no_walks):
         params = validate_params(1, False, 0.6, 1.0)

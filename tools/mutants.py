@@ -29,6 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 KNOWN_RED = "tests/test_acceptance.py::test_criterion_09_limit_moments"
 MC, THEORY, ORACLE = "src/memwalk/montecarlo.py", "src/memwalk/theory.py", "src/memwalk/oracle.py"
 VERIFY_TESTS = ("tests/test_montecarlo.py::TestVerify",)
+# clt-diffusive's two ensembles, in the order it walks them
+CROSS_TIME_RUN = """    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
+    cross_emp = cross_time_covariance(
+        params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
+    )
+    cross_th = theory.diffusive_covariance(params, s_time, t_time)
+    cross_rel = _rel(cross_emp, cross_th)
+"""
+N_STEPS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers, retain_samples=True)\n"
 
 
 class Mutant(NamedTuple):
@@ -56,6 +65,11 @@ MUTANTS = [
            ("tests/test_montecarlo.py::TestVerify::test_sizes_follow_n_steps",)),
     Mutant("critical-first-mark", MC, "n // 10", "n // 100",
            ("tests/test_montecarlo.py::TestVerify::test_sizes_follow_n_steps",)),
+    # the int64 bound, checked before any walk
+    Mutant("int64-bound", MC, "marks[-1] ** 2 >= 2**62", "marks[-1] ** 2 >= 2**63",
+           ("tests/test_montecarlo.py::TestRunEnsemble::test_int64_bound_at_its_first_failing_size",)),
+    Mutant("clt-diffusive-larger-first", MC, CROSS_TIME_RUN + "\n" + N_STEPS_RUN, N_STEPS_RUN + CROSS_TIME_RUN + "\n",
+           ("tests/test_montecarlo.py::TestVerify::test_clt_diffusive_oversize_fails_before_the_walks",)),
     # the samplers
     Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
            "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
