@@ -130,18 +130,19 @@ def cmd_theory(cfg: RunConfig) -> int:
     init = _parse_init(cfg.init)
     init.distribution(params)  # checks the start against K at every regime, not only where it is read
     regime = theory.classify_regime(params)
+    pc = theory.critical_probability(params.K, params.theta) if regime is not Regime.NO_TRANSITION else None
     doc = {
         "params": {"d": params.d, "lazy": params.lazy, "K": params.K, "p": params.p, "theta": params.theta},
         "memory_gain": params.memory_gain,
         "second_eigenvalue": params.second_eigenvalue,
         "regime": regime.value,
-        "critical_probability": theory.critical_probability(params.K, params.theta) if params.theta > 0.0 else None,
+        "critical_probability": pc,
     }
     try:
         doc["lln_limit"] = theory.lln_limit(params).tolist()
     except ValueError:
         doc["lln_limit"] = None
-    if regime in (Regime.DIFFUSIVE, Regime.NO_TRANSITION):
+    if regime in theory._DIFFUSIVE_REGIMES:
         doc["diffusive"] = {
             "count_covariance": theory.count_covariance_diffusive(params),
             "covariance_unit_time": theory.diffusive_covariance(params, 1.0, 1.0),
@@ -216,7 +217,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
         for p in cfg.p_grid:
             params = validate_params(cfg.d, cfg.lazy, p, th)
             regime = theory.classify_regime(params)
-            pc = theory.critical_probability(params.K, th) if th > 0 else float("nan")
+            pc = theory.critical_probability(params.K, th) if regime is not Regime.NO_TRANSITION else float("nan")
             summary = montecarlo.run_ensemble(
                 params, init, n_max, marks, cfg.replicas, cfg.seed, workers=cfg.workers
             )

@@ -33,7 +33,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import theory, urn
 from .model import InitialSpec, ModelParams, _checkpoint_marks, base_step_rates
-from .theory import Regime, RegimeMismatchError
+from .theory import Regime
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -398,7 +398,7 @@ def cross_time_covariance(
     """Empirical Cov(S_(s*n), S_(t*n)) / n at n = n_scale, diffusive regime."""
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
-    theory._require_diffusive(params)
+    theory._require_regime(params, theory._DIFFUSIVE_REGIMES, "the cross-time covariance")
     ns, nt = int(s * n_scale), int(t * n_scale)
     summary = run_ensemble(
         params, init, nt, sorted({ns, nt}), replicas, seed,
@@ -487,7 +487,7 @@ def default_budget(tag: str, **overrides) -> VerifyBudget:
     if tag not in _VERIFIERS:
         raise ValueError(f"unknown verification tag {tag!r}")
     budget = VerifyBudget(**overrides)
-    defaults = _VERIFIERS[tag][2]
+    defaults = _VERIFIERS[tag][1]
     return dataclasses.replace(budget, **{k: v for k, v in defaults.items() if getattr(budget, k) is None})
 
 
@@ -562,18 +562,18 @@ def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
 def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     R = budget.replicas
+    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
+    th = theory.diffusive_covariance(params, 1.0, 1.0)
+    cross_th = theory.diffusive_covariance(params, s_time, t_time)
     # before any walk: the replica floor, and run_ensemble's int64 bound on the larger ensemble, which walks first
     _require_shape_samples(R)
-    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
     cross_emp = cross_time_covariance(
         params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
     )
-    cross_th = theory.diffusive_covariance(params, s_time, t_time)
     cross_rel = _rel(cross_emp, cross_th)
 
     summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers, retain_samples=True)
     cp = summary.at(n)
-    th = theory.diffusive_covariance(params, 1.0, 1.0)
     emp = cp.cov / n
     # asymptotic SE of a Gaussian sample covariance entry
     se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / R)
@@ -593,6 +593,7 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
 
 def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
+    th = float(np.trace(theory.critical_covariance(params, 1.0, 1.0)))
     if budget.checkpoints is None and n < 20:
         raise ValueError(f"clt-critical needs n_steps of at least 20, so that n_steps // 10 >= 2, got {n}")
     marks = [n // 10, n] if budget.checkpoints is None else budget.checkpoints
@@ -601,7 +602,6 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
     if min(marks) < 2:
         raise ValueError(f"clt-critical needs checkpoints of at least 2, where n log n > 0, got {marks}")
     summary = run_ensemble(params, budget.init, n, marks, budget.replicas, budget.seed, workers=budget.workers)
-    th = float(np.trace(theory.critical_covariance(params, 1.0, 1.0)))
     ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
     r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
     return dict(
@@ -613,6 +613,7 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
 
 
 def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
+    theory._require_regime(params, (Regime.SUPERDIFFUSIVE,), "the superdiffusive exponent")
     marks = budget.checkpoints
     if marks is None:
         marks = scaling_checkpoints(budget.n_steps, 7)
@@ -634,11 +635,9 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
     n = budget.n_steps
     R = budget.replicas
     r = params.second_eigenvalue
-    summary = run_ensemble(
-        params, budget.init, n, [n], R, budget.seed, workers=budget.workers
-    )
-    cp = summary.at(n)
     limit = theory.limit_moments(params, budget.init)
+    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers)
+    cp = summary.at(n)
     scale = float(n) ** (2.0 * r)
     emp_second = cp.cov / scale
     rel = _rel(emp_second, limit.second_moment)
@@ -659,16 +658,15 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
 
 CHECKPOINT_TAGS = ("clt-critical", "superdiffusive")  # the tags whose ensembles read checkpoints
 
-#: Per tag: the verifier, the regimes its claim is about and the default
-#: n_steps and replicas, which fill those a caller's VerifyBudget leaves None.
-#: The gates are the _TOLERANCE_* constants above.
+#: Per tag: the verifier and the default n_steps and replicas, which fill those
+#: a caller's VerifyBudget leaves None. The gates are the _TOLERANCE_* constants
+#: above; the regimes a tag's claim is about are those of its theory reference.
 _VERIFIERS = {
-    "lln": (_verify_lln, tuple(Regime), dict(n_steps=100_000, replicas=200)),
-    "clt-diffusive": (_verify_clt_diffusive, (Regime.DIFFUSIVE, Regime.NO_TRANSITION),
-                      dict(n_steps=10_000, replicas=10_000)),
-    "clt-critical": (_verify_clt_critical, (Regime.CRITICAL,), dict(n_steps=10_000, replicas=4_000)),
-    "superdiffusive": (_verify_superdiffusive, (Regime.SUPERDIFFUSIVE,), dict(n_steps=100_000, replicas=2_000)),
-    "moments": (_verify_moments, (Regime.SUPERDIFFUSIVE,), dict(n_steps=100_000, replicas=10_000)),
+    "lln": (_verify_lln, dict(n_steps=100_000, replicas=200)),
+    "clt-diffusive": (_verify_clt_diffusive, dict(n_steps=10_000, replicas=10_000)),
+    "clt-critical": (_verify_clt_critical, dict(n_steps=10_000, replicas=4_000)),
+    "superdiffusive": (_verify_superdiffusive, dict(n_steps=100_000, replicas=2_000)),
+    "moments": (_verify_moments, dict(n_steps=100_000, replicas=10_000)),
 }
 
 
@@ -677,8 +675,8 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
 
     Tags: lln, clt-diffusive, clt-critical, superdiffusive, moments.
     Fields of ``budget`` left None take the tag's defaults. Raises
-    RegimeMismatchError when the parameters do not belong to the regime
-    the tag is about.
+    RegimeMismatchError, before any walk, when the parameters lie outside
+    the regimes of the tag's theory reference.
     """
     budget = default_budget(tag, **vars(budget or VerifyBudget()))
     if budget.checkpoints is not None:
@@ -687,11 +685,6 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
         # these ensembles run to their last checkpoint, whatever n_steps says;
         # an empty list is left to the verifier's own check
         budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints, default=budget.n_steps))
-    verifier, regimes, _ = _VERIFIERS[tag]
-    regime = theory.classify_regime(params)
-    if regime not in regimes:
-        allowed = " or ".join(r.value for r in regimes)
-        raise RegimeMismatchError(f"tag {tag} needs a {allowed} point, got {regime.value}")
     config = {
         "params": dataclasses.asdict(params),
         "n_steps": budget.n_steps,
@@ -699,6 +692,6 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
         "seed": budget.seed,
         "init": budget.init.kind,
     }
-    found = verifier(params, budget)
+    found = _VERIFIERS[tag][0](params, budget)
     passed = all(np.all(np.less_equal(v, found["tolerance"][k])) for k, v in found["discrepancy"].items())
     return VerificationReport(tag=tag, passed=passed, config=config, **found)

@@ -46,6 +46,10 @@ class RegimeMismatchError(ValueError):
     """An operation specific to one regime was asked about another."""
 
 
+#: The regimes with a Gaussian limit: below the boundary, and theta = 0, where there is no boundary.
+_DIFFUSIVE_REGIMES = (Regime.DIFFUSIVE, Regime.NO_TRANSITION)
+
+
 def critical_probability(K: int, theta: float) -> float:
     """Phase boundary (K + 2*theta - 1) / (2*theta*K).
 
@@ -72,6 +76,14 @@ def classify_regime(params: ModelParams) -> Regime:
     if abs(params.p - pc) < CRITICAL_TOL:
         return Regime.CRITICAL
     return Regime.DIFFUSIVE if params.p < pc else Regime.SUPERDIFFUSIVE
+
+
+def _require_regime(params: ModelParams, regimes: tuple[Regime, ...], what: str) -> None:
+    """Raise RegimeMismatchError, naming the quantity ``what``, unless params lie in one of ``regimes``."""
+    regime = classify_regime(params)
+    if regime not in regimes:
+        allowed = " or ".join(r.value for r in regimes)
+        raise RegimeMismatchError(f"{what} needs a {allowed} point, got {regime.value}")
 
 
 def lln_limit(params: ModelParams) -> np.ndarray:
@@ -143,19 +155,13 @@ def spectral_decomposition(params: ModelParams) -> SpectralData:
     )
 
 
-def _require_diffusive(params: ModelParams) -> None:
-    regime = classify_regime(params)
-    if regime not in (Regime.DIFFUSIVE, Regime.NO_TRANSITION):
-        raise RegimeMismatchError(f"operation requires 2*lambda_2 < 1, regime is {regime.value}")
-
-
 def count_covariance_diffusive(params: ModelParams) -> np.ndarray:
     """Limiting covariance of the count fluctuations, diffusive regime.
 
     Cov(N_n) / n -> B0 / (1 - 2 lam), B0 from ``_forcing``. Every row
     sums to zero: fluctuations preserve the total count.
     """
-    _require_diffusive(params)
+    _require_regime(params, _DIFFUSIVE_REGIMES, "the diffusive covariance")
     return _forcing(params)[1] / (1.0 - 2.0 * params.second_eigenvalue)
 
 
@@ -165,8 +171,7 @@ def count_covariance_critical(params: ModelParams) -> np.ndarray:
     Cov(N_n) / (n log n) -> B0 from ``_forcing``: at 2 lam = 1 the
     covariance recursion adds B0 with weight n / k at each k <= n.
     """
-    if classify_regime(params) is not Regime.CRITICAL:
-        raise RegimeMismatchError("operation requires 2*lambda_2 = 1")
+    _require_regime(params, (Regime.CRITICAL,), "the critical covariance")
     return _forcing(params)[1]
 
 
@@ -402,8 +407,7 @@ def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
     factor is ~ n^(2r) / Gamma(1+2r), Cov(N_n) / n^(2r) tends to that
     matrix over Gamma(1+2r), and the pairing projects it to position space.
     """
-    if classify_regime(params) is not Regime.SUPERDIFFUSIVE:
-        raise RegimeMismatchError("limit moments exist only in the superdiffusive regime")
+    _require_regime(params, (Regime.SUPERDIFFUSIVE,), "the limit second moment")
     r = params.second_eigenvalue
     pi = init.distribution(params)
     sigma1 = np.diag(pi) - np.outer(pi, pi)
@@ -429,8 +433,7 @@ def uniform_start_limit_second_moment(params: ModelParams) -> np.ndarray:
     """
     if params.theta != 1.0 or params.lazy:
         raise ValueError("closed form holds for theta = 1 without laziness")
+    _require_regime(params, (Regime.SUPERDIFFUSIVE,), "the closed-form limit second moment")
     r = params.second_eigenvalue
-    if 2.0 * r <= 1.0:
-        raise RegimeMismatchError("closed form requires the superdiffusive regime")
     value = 1.0 / (params.d * (2.0 * r - 1.0) * math.gamma(2.0 * r))
     return value * np.eye(params.d)

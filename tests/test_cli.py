@@ -87,6 +87,13 @@ class TestTheoryCommand:
         assert code == 0
         jsonschema.validate(json.loads(out), schema)
 
+    def test_fully_persistent_point_has_no_lln_limit(self, capsys):
+        # theta = p = 1: S_n / n tends to the random first step, so there is no deterministic limit
+        code, out, _ = run_cli(capsys, "theory", "--d", "1", "--theta", "1", "--p", "1")
+        assert code == 0
+        jsonschema.validate(json.loads(out), load_schema("theory"))
+        assert '"lln_limit": null' in out
+
 
 class TestSimulateCommand:
     def test_csv_shape_and_determinism(self, capsys, tmp_path):
@@ -342,6 +349,19 @@ class TestPhaseDiagramCommand:
         )
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 2
+
+    def test_grid_range_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "phase-diagram", "--d", "1", "--theta-grid", "1.0", "--p-grid", "0.5:0.9:3", "--steps", "50",
+            "--reps", "20", "--seed", "3",
+        )
+        assert code == 0
+        assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == list(np.linspace(0.5, 0.9, 3))
+
+    def test_grid_range_needs_a_count(self, capsys):
+        code, out, err = run_cli(capsys, "phase-diagram", "--d", "1", "--theta-grid", "1.0", "--p-grid", "0.5:0.9")
+        assert (code, out) == (1, "")
+        assert "--p-grid" in err
 
     def test_empty_grid_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "phase-diagram", "--d", "1")

@@ -27,7 +27,7 @@ from memwalk.montecarlo import (
     scaling_exponent,
     verify,
 )
-from memwalk.theory import Regime, RegimeMismatchError
+from memwalk.theory import RegimeMismatchError
 
 UNIFORM = InitialSpec.uniform()
 
@@ -610,6 +610,12 @@ class TestCrossTime:
         with pytest.raises(RegimeMismatchError):
             cross_time_covariance(params, UNIFORM, 1.0, 2.0, 100, 10, seed=0)
 
+    @pytest.mark.parametrize("s, t", [(0.0, 1.0), (2.0, 1.0)])
+    def test_times_out_of_order_rejected(self, s, t):
+        params = validate_params(1, False, 0.6, 1.0)
+        with pytest.raises(ValueError, match="need 0 < s <= t"):
+            cross_time_covariance(params, UNIFORM, s, t, 100, 10, seed=0)
+
 
 class TestGaussianityCheck:
     def test_gaussian_reference(self):
@@ -635,18 +641,6 @@ class TestVerify:
         params = validate_params(1, False, 0.6, 1.0)
         with pytest.raises(ValueError):
             verify("nonsense", params)
-
-    def test_tag_regime_mismatch(self):
-        diffusive = validate_params(1, False, 0.6, 1.0)
-        superdiff = validate_params(1, False, 0.9, 1.0)
-        with pytest.raises(RegimeMismatchError):
-            verify("clt-critical", diffusive, default_budget("clt-critical"))
-        with pytest.raises(RegimeMismatchError):
-            verify("clt-diffusive", superdiff, default_budget("clt-diffusive"))
-        with pytest.raises(RegimeMismatchError):
-            verify("superdiffusive", diffusive, default_budget("superdiffusive"))
-        with pytest.raises(RegimeMismatchError):
-            verify("moments", diffusive, default_budget("moments"))
 
     def test_lln_small_budget_passes(self):
         params = validate_params(1, False, 0.8, 0.3)
@@ -714,7 +708,7 @@ class TestVerify:
         def verifier(params, budget):
             return dict(theoretical={}, empirical={}, discrepancy=discrepancy, tolerance={"a": 1.0, "b": 2.0})
 
-        monkeypatch.setitem(montecarlo._VERIFIERS, "lln", (verifier, tuple(Regime), {}))
+        monkeypatch.setitem(montecarlo._VERIFIERS, "lln", (verifier, {}))
         report = verify("lln", validate_params(1, False, 0.8, 0.3))
         assert report.passed is passed
 
@@ -793,6 +787,17 @@ class TestVerify:
         with pytest.raises(ValueError, match="degenerate"):
             verify("lln", params, default_budget("lln", replicas=4_000))
 
+    @pytest.mark.parametrize("tag, p, message", [
+        ("clt-diffusive", 0.9, "the diffusive covariance needs a diffusive or no-transition point, got superdiffusive"),
+        ("clt-critical", 0.6, "the critical covariance needs a critical point, got diffusive"),
+        ("superdiffusive", 0.6, "the superdiffusive exponent needs a superdiffusive point, got diffusive"),
+        ("moments", 0.6, "the limit second moment needs a superdiffusive point, got diffusive"),
+    ], ids=["clt-diffusive", "clt-critical", "superdiffusive", "moments"])
+    def test_regime_fails_before_the_walks(self, no_walks, tag, p, message):
+        # a tag's regime is the domain of its theory reference, which each verifier reads first
+        with pytest.raises(RegimeMismatchError, match=f"^{message}$"):
+            verify(tag, validate_params(1, False, p, 1.0), default_budget(tag))
+
     @pytest.mark.parametrize("marks, message", [
         ([1_000, 100_000], "at least 3 checkpoints"),
         ([1_000, 1_000, 100_000], "at least 3 checkpoints"),
@@ -857,7 +862,7 @@ class TestVerify:
         assert report.passed, report.discrepancy
 
     def test_default_budget_is_the_table_entry(self):
-        for tag, (_, _, defaults) in montecarlo._VERIFIERS.items():
+        for tag, (_, defaults) in montecarlo._VERIFIERS.items():
             budget = default_budget(tag)
             assert {k: getattr(budget, k) for k in defaults} == defaults
         assert default_budget("lln", n_steps=None, replicas=7).n_steps == 100_000

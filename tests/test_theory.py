@@ -287,6 +287,10 @@ class TestPositionCovariances:
             diffusive_covariance(params, 0.0, 1.0)
         with pytest.raises(ValueError):
             diffusive_covariance(params, 2.0, 1.0)
+        critical = validate_params(1, False, 0.75, 1.0)
+        for s, t in ((0.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="need 0 < s <= t"):
+                critical_covariance(critical, s, t)
 
     def test_critical_example_value(self):
         # I_d / d at theta = 1, the multidimensional elephant walk's value
@@ -548,11 +552,24 @@ class TestExactMoments:
         with pytest.raises(ValueError, match=r"n_max = 1000000000 at K = 5 needs \d+ MiB"):
             exact_moments(params, InitialSpec.uniform(), 10**9)
 
+    @pytest.mark.parametrize("d, lazy, per_step", [(1, False, 23), (2, True, 51)])
+    def test_table_limit_at_its_boundary(self, monkeypatch, d, lazy, per_step):
+        # 8 bytes per entry, 15 + K + K^2 + d + d^2 entries per step: the cap is met exactly at n = 100
+        monkeypatch.setattr(theory, "MAX_TABLE_BYTES", 8 * 100 * per_step)
+        params = validate_params(d, lazy, 0.6, 1.0)
+        exact_moments(params, InitialSpec.uniform(), 100)
+        with pytest.raises(ValueError, match="needs"):
+            exact_moments(params, InitialSpec.uniform(), 101)
+
 
 class TestLimitMoments:
     def test_regime_gate(self):
         with pytest.raises(RegimeMismatchError):
             limit_moments(validate_params(1, False, 0.6, 1.0), InitialSpec.uniform())
+        # diffusive (r = 0.2) and critical (r = 0.5): the series behind the closed form diverges
+        for p in (0.6, 0.75):
+            with pytest.raises(RegimeMismatchError, match="needs a superdiffusive point"):
+                uniform_start_limit_second_moment(validate_params(1, False, p, 1.0))
 
     def test_fully_persistent_exact(self):
         # S_n = n * X_1, so the scaled second moment is E(X_1 X_1^T) = I/d

@@ -30,14 +30,15 @@ KNOWN_RED = "tests/test_acceptance.py::test_criterion_09_limit_moments"
 MC, THEORY, ORACLE = "src/memwalk/montecarlo.py", "src/memwalk/theory.py", "src/memwalk/oracle.py"
 VERIFY_TESTS = ("tests/test_montecarlo.py::TestVerify",)
 # clt-diffusive's two ensembles, in the order it walks them
-CROSS_TIME_RUN = """    s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
-    cross_emp = cross_time_covariance(
+CROSS_TIME_RUN = """    cross_emp = cross_time_covariance(
         params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
     )
-    cross_th = theory.diffusive_covariance(params, s_time, t_time)
     cross_rel = _rel(cross_emp, cross_th)
 """
 N_STEPS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers, retain_samples=True)\n"
+# moments' theory reference and its one ensemble, in the order it reads them
+MOMENTS_LIMIT = "    limit = theory.limit_moments(params, budget.init)\n"
+MOMENTS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers)\n"
 
 
 class Mutant(NamedTuple):
@@ -70,6 +71,13 @@ MUTANTS = [
            ("tests/test_montecarlo.py::TestRunEnsemble::test_int64_bound_at_its_first_failing_size",)),
     Mutant("clt-diffusive-larger-first", MC, CROSS_TIME_RUN + "\n" + N_STEPS_RUN, N_STEPS_RUN + CROSS_TIME_RUN + "\n",
            ("tests/test_montecarlo.py::TestVerify::test_clt_diffusive_oversize_fails_before_the_walks",)),
+    # each verifier reads its theory reference, whose domain is the tag's regime, before any walk
+    Mutant("moments-limit-after-walk", MC, MOMENTS_LIMIT + MOMENTS_RUN, MOMENTS_RUN + MOMENTS_LIMIT,
+           ("tests/test_montecarlo.py::TestVerify::test_regime_fails_before_the_walks",)),
+    Mutant("closed-form-gate-wide", THEORY,
+           '(Regime.SUPERDIFFUSIVE,), "the closed-form limit second moment"',
+           '(Regime.SUPERDIFFUSIVE, Regime.DIFFUSIVE), "the closed-form limit second moment"',
+           ("tests/test_theory.py::TestLimitMoments::test_regime_gate",)),
     # the samplers
     Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
            "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
@@ -89,6 +97,8 @@ MUTANTS = [
     Mutant("t2-weight", THEORY, "/ math.gamma(1.0 + r) ** 2 - 1.0", "/ math.gamma(1.0 + r) ** 2",
            ("tests/test_theory.py::TestSquareSeries", "tests/test_theory.py::TestLimitMoments")),
     Mutant("c2-term", THEORY, "+ 0.5 * c1 * c1", "+ c1 * c1", ("tests/test_theory.py::TestSquareSeries",)),
+    Mutant("table-need-no-dd", THEORY, "+ d + d * d)", "+ d)",
+           ("tests/test_theory.py::TestExactMoments::test_table_limit_at_its_boundary",)),
     # the exact oracle
     Mutant("urn-kernel-transpose", ORACLE, "states @ A.T / m", "states @ A / m", ("tests/test_oracle.py",)),
     Mutant("lattice-sort-key", ORACLE, "np.lexsort(children.T[::-1])", "np.lexsort(children.T)",
