@@ -26,10 +26,6 @@ from .model import InitialSpec, validate_params
 from .theory import Regime
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the exit-code contract (1 on usage errors)."""
 
@@ -67,14 +63,14 @@ class RunConfig:
         """Check and load a config; ``subcommand`` serves a file that names none."""
         data = json.loads(text)
         if not isinstance(data, dict):
-            raise UsageError(f"a config must be a JSON object, not {type(data).__name__}")
+            raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
         data.setdefault("subcommand", subcommand)
         hints = typing.get_type_hints(RunConfig)
         for key, value in data.items():
             if key not in hints:
-                raise UsageError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             if not _fits(value, hints[key]):
-                raise UsageError(f"config key {key!r} must be {RunConfig.__annotations__[key]}, not {value!r}")
+                raise ValueError(f"config key {key!r} must be {RunConfig.__annotations__[key]}, not {value!r}")
         return RunConfig(**data)
 
 
@@ -99,9 +95,9 @@ def _parse_init(spec: str) -> InitialSpec:
         with open(path, encoding="utf-8") as fh:
             probs = json.load(fh)
         if not _fits(probs, list[float]):
-            raise UsageError(f"{path} must hold a JSON list of probabilities, not {probs!r}")
+            raise ValueError(f"{path} must hold a JSON list of probabilities, not {probs!r}")
         return InitialSpec.custom(probs)
-    raise UsageError(f"bad --init value {spec!r}; use uniform, fixed:IDX or custom:FILE")
+    raise ValueError(f"bad --init value {spec!r}; use uniform, fixed:IDX or custom:FILE")
 
 
 def _parse_checkpoints(text: str) -> list[int]:
@@ -194,7 +190,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.tag is None:
-        raise UsageError("verify needs --tag")
+        raise ValueError("verify needs --tag")
     params = validate_params(cfg.d, cfg.lazy, cfg.p, cfg.theta)
     # sizes left unset (None) come from the tag's default budget
     budget = montecarlo.default_budget(
@@ -208,24 +204,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_phase_diagram(cfg: RunConfig) -> int:
     if not cfg.p_grid or not cfg.theta_grid:
-        raise UsageError("phase-diagram needs --p-grid and --theta-grid")
+        raise ValueError("phase-diagram needs --p-grid and --theta-grid")
     init = _parse_init(cfg.init)
-    n_max = cfg.n_steps
-    marks = montecarlo.scaling_checkpoints(n_max, 5)
+    marks = montecarlo.scaling_checkpoints(cfg.n_steps, 5)
+    # every point is checked before the first walk
+    points = [validate_params(cfg.d, cfg.lazy, p, th) for th in cfg.theta_grid for p in cfg.p_grid]
     lines = ["p,theta,regime,p_c,exponent_hat,exponent_se"]
-    for th in cfg.theta_grid:
-        for p in cfg.p_grid:
-            params = validate_params(cfg.d, cfg.lazy, p, th)
-            regime = theory.classify_regime(params)
-            pc = theory.critical_probability(params.K, th) if regime is not Regime.NO_TRANSITION else float("nan")
-            summary = montecarlo.run_ensemble(
-                params, init, n_max, marks, cfg.replicas, cfg.seed, workers=cfg.workers
-            )
-            try:
-                slope, se = montecarlo.scaling_exponent(summary)
-            except ValueError:
-                slope, se = float("nan"), float("nan")
-            lines.append(_csv_row([float(p), float(th), regime.value, float(pc), slope, se]))
+    for params in points:
+        regime = theory.classify_regime(params)
+        pc = theory.critical_probability(params.K, params.theta) if regime is not Regime.NO_TRANSITION else float("nan")
+        summary = montecarlo.run_ensemble(
+            params, init, cfg.n_steps, marks, cfg.replicas, cfg.seed, workers=cfg.workers
+        )
+        try:
+            slope, se = montecarlo.scaling_exponent(summary)
+        except ValueError:
+            slope, se = float("nan"), float("nan")
+        lines.append(_csv_row([params.p, params.theta, regime.value, pc, slope, se]))
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return 0
 
@@ -322,14 +317,10 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[cfg.subcommand][0](cfg)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"memwalk: error: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -381,6 +381,7 @@ def scaling_exponent(summary: EnsembleSummary) -> tuple[float, float]:
 
 def scaling_checkpoints(n_steps: int, count: int) -> list[int]:
     """Up to ``count`` geometric checkpoints to n_steps; from n_steps = 100 on they span two decades."""
+    _checkpoint_marks(n_steps, [])  # n_steps >= 1, before numpy reads it
     first = max(1, min(100, n_steps // 100))
     return sorted(set(int(v) for v in np.geomspace(first, n_steps, count)))
 

@@ -79,11 +79,7 @@ def pairing_matrix(d: int, lazy: bool) -> np.ndarray:
     The lazy column, when present, is ignored (zero column).
     """
     K = 2 * d + (1 if lazy else 0)
-    mat = np.zeros((d, K))
-    for i in range(d):
-        mat[i, 2 * i] = 1.0
-        mat[i, 2 * i + 1] = -1.0
-    return mat
+    return np.ascontiguousarray(counts_to_position(np.eye(K), d, lazy).T)
 
 
 def counts_to_position(counts, d: int, lazy: bool) -> np.ndarray:

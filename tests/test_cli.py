@@ -367,6 +367,18 @@ class TestPhaseDiagramCommand:
         code, _, _ = run_cli(capsys, "phase-diagram", "--d", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--theta-grid", "1", "--p-grid", "0.5,1.5"], "p must lie in [0, 1], got 1.5"),
+        (["--theta-grid", "1,1.5", "--p-grid", "0.5"], "theta must lie in [0, 1], got 1.5"),
+    ])
+    def test_every_point_checked_before_the_first_walk(self, capsys, monkeypatch, grid, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("a point walked before the grid was checked")
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", fail)
+        code, out, err = run_cli(capsys, "phase-diagram", "--d", "1", *grid, "--steps", "100000", "--reps", "200")
+        assert (code, out, err) == (1, "", f"memwalk: error: {message}\n")
+
 
 class TestOracleCommand:
     def test_dump_small_instance(self, capsys):
@@ -541,6 +553,16 @@ class TestUsageContract:
                                  "--rep", "10")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --rep" in err
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--tag", "superdiffusive", "--d", "1", "--p", "0.9"],
+        ["phase-diagram", "--d", "1", "--theta-grid", "1", "--p-grid", "0.9"],
+    ], ids=["verify", "phase-diagram"])
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    @pytest.mark.filterwarnings("error")
+    def test_steps_below_one_rejected_before_the_checkpoints(self, capsys, command, steps):
+        code, out, err = run_cli(capsys, *command, "--steps", steps)
+        assert (code, out, err) == (1, "", "memwalk: error: n_steps must be >= 1\n")
 
     def test_checkpoints_rejected_by_a_tag_that_ignores_them(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--tag", "lln", "--d", "1", "--theta", "0.3", "--p", "0.8",

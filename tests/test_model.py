@@ -117,6 +117,8 @@ class TestConditionalLaw:
         state = WalkState(n=0, counts=np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError):
             conditional_law(params, state)
+        with pytest.raises(ValueError, match="cannot step before the first move is placed"):
+            step(params, state, np.random.default_rng(0))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -179,6 +181,8 @@ class TestInitialStep:
             initial_step(params, InitialSpec.custom([0.5, 0.4]), np.random.default_rng(0))
         with pytest.raises(ValueError):
             initial_step(params, InitialSpec.custom([1.5, -0.5]), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="custom distribution must have length 2"):
+            initial_step(params, InitialSpec.custom([0.5, 0.25, 0.25]), np.random.default_rng(0))
         state = initial_step(params, InitialSpec.custom([0.0, 1.0]), np.random.default_rng(0))
         assert state.counts[1] == 1
 

@@ -381,6 +381,8 @@ class TestRunEnsemble:
         assert np.allclose(cp.mean, [50.0])
         assert np.allclose(cp.cov, 0.0)
         assert np.allclose(cp.stderr, 0.0)
+        with pytest.raises(KeyError, match="no checkpoint at n = 49"):
+            summary.at(49)
 
     def test_seed_determinism(self):
         params = validate_params(2, True, 0.7, 0.8)
@@ -588,6 +590,10 @@ class TestScalingExponent:
         narrow = run_ensemble(params, UNIFORM, 400, [100, 200, 400], 32, seed=4)
         with pytest.raises(ValueError):
             scaling_exponent(narrow)
+        persistent = validate_params(1, False, 1.0, 1.0)
+        still = run_ensemble(persistent, InitialSpec.fixed(0), 1_000, [10, 100, 1_000], 8, seed=4)
+        with pytest.raises(ValueError, match="degenerate"):
+            scaling_exponent(still)
 
 
 class TestCrossTime:
@@ -634,6 +640,8 @@ class TestGaussianityCheck:
     def test_minimum_sample_size(self):
         with pytest.raises(ValueError):
             gaussianity_check(np.zeros((10, 1)))
+        with pytest.raises(ValueError, match=r"expected an \(R, d\) sample array"):
+            gaussianity_check(np.zeros(2_000))
 
 
 class TestVerify:

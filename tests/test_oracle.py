@@ -125,6 +125,8 @@ class TestEnumeratePaths:
         params = validate_params(3, False, 0.5, 0.5)
         with pytest.raises(ValueError):
             enumerate_paths(params, InitialSpec.uniform(), 10)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            enumerate_paths(params, InitialSpec.uniform(), 0)
 
 
 class TestExactMarginals:

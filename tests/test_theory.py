@@ -140,6 +140,8 @@ class TestCriticalProbability:
     def test_theta_zero_rejected(self):
         with pytest.raises(RegimeMismatchError):
             critical_probability(2, 0.0)
+        with pytest.raises(ValueError, match="K must be at least 2"):
+            critical_probability(1, 0.5)
 
     def test_region_grows_with_choices(self):
         # superdiffusive region {p > p_c} widens as K grows
@@ -398,6 +400,10 @@ class TestMartingaleCoefficients:
         params = validate_params(1, False, 0.1, 0.5)  # rate in (-1, 0)
         a = martingale_coefficients(params, 50)
         assert np.all(np.isfinite(a)) and np.all(a >= 1.0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            martingale_coefficients(params, 0)
+        with pytest.raises(ValueError, match="weights diverge"):  # r = -1
+            martingale_coefficients(validate_params(1, False, 0.0, 1.0), 50)
 
 
 class TestHurwitzZeta:
@@ -551,6 +557,8 @@ class TestExactMoments:
         params = validate_params(2, True, 0.5, 0.5)
         with pytest.raises(ValueError, match=r"n_max = 1000000000 at K = 5 needs \d+ MiB"):
             exact_moments(params, InitialSpec.uniform(), 10**9)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            exact_moments(params, InitialSpec.uniform(), 0)
 
     @pytest.mark.parametrize("d, lazy, per_step", [(1, False, 23), (2, True, 51)])
     def test_table_limit_at_its_boundary(self, monkeypatch, d, lazy, per_step):
@@ -570,6 +578,9 @@ class TestLimitMoments:
         for p in (0.6, 0.75):
             with pytest.raises(RegimeMismatchError, match="needs a superdiffusive point"):
                 uniform_start_limit_second_moment(validate_params(1, False, p, 1.0))
+        for lazy, theta in ((False, 0.9), (True, 1.0)):
+            with pytest.raises(ValueError, match="closed form holds for theta = 1 without laziness"):
+                uniform_start_limit_second_moment(validate_params(1, lazy, 0.95, theta))
 
     def test_fully_persistent_exact(self):
         # S_n = n * X_1, so the scaled second moment is E(X_1 X_1^T) = I/d

@@ -78,6 +78,14 @@ MUTANTS = [
            '(Regime.SUPERDIFFUSIVE,), "the closed-form limit second moment"',
            '(Regime.SUPERDIFFUSIVE, Regime.DIFFUSIVE), "the closed-form limit second moment"',
            ("tests/test_theory.py::TestLimitMoments::test_regime_gate",)),
+    # the CLI checks its inputs before any walk
+    Mutant("phase-diagram-lazy-grid", "src/memwalk/cli.py",
+           "points = [validate_params(cfg.d, cfg.lazy, p, th) for th in cfg.theta_grid for p in cfg.p_grid]",
+           "points = (validate_params(cfg.d, cfg.lazy, p, th) for th in cfg.theta_grid for p in cfg.p_grid)",
+           ("tests/test_cli.py::TestPhaseDiagramCommand::test_every_point_checked_before_the_first_walk",)),
+    Mutant("checkpoints-no-floor", MC, "    _checkpoint_marks(n_steps, [])  # n_steps >= 1, before numpy reads it\n",
+           "",
+           ("tests/test_cli.py::TestUsageContract::test_steps_below_one_rejected_before_the_checkpoints",)),
     # the samplers
     Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
            "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
