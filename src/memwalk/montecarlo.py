@@ -13,7 +13,8 @@ workers, because moment accumulators are exact integer sums, and no matter
 how a worker splits its block into tiles. A tile runs _TILE_UNIT * (6K - 8)
 replicas together (at most _TILE_MAX), with uniforms drawn _CHUNK steps at
 a time, so a process holds at most one _CHUNK x _TILE_MAX float64 buffer
-(56 MiB; 16 MiB at K = 2), whatever the replica count. Pooled calls
+(56 MiB; 16 MiB at K = 2) and one _REFILL_BLOCK x _CHUNK refill block
+(128 KiB), whatever the replica count. Pooled calls
 share one worker pool per process, forked by the first such call and kept
 until exit, so module state patched after that fork does not reach it.
 Each worker ends when the process that made it ends, killed or not.
@@ -43,8 +44,9 @@ _CHUNK = 1024
 #: A tile runs _TILE_UNIT * (6K - 8) replicas together, at most _TILE_MAX.
 _TILE_UNIT = 512
 _TILE_MAX = 7_168
-#: Replicas drawn together before their uniforms are transposed into the buffer.
-_REFILL_BLOCK = 128
+#: Replicas drawn together before their uniforms are transposed into the buffer:
+#: 16 x _CHUNK float64 is 128 KiB, which stays in L2 while it is transposed.
+_REFILL_BLOCK = 16
 #: Gate, in standard errors, of every per-scalar check in the verifiers.
 _TOLERANCE_SE = 4.0
 #: The other gates: clt-diffusive's cross-time and clt-critical's ratios,
@@ -174,7 +176,10 @@ def _simulate_block(
     step reads one contiguous row. A refill draws the chunks of up to
     _REFILL_BLOCK replicas into rows and transposes them into the buffer,
     which misses the cache far less than writing each replica's column in
-    turn.
+    turn. The buffer is min(n, _CHUNK) x width float64, at most 16 MiB at
+    K = 2 and 56 MiB at any K; the refill block is _REFILL_BLOCK x _CHUNK
+    float64, 128 KiB, so that it stays in L2 between the draws and the transpose
+    that reads it back.
 
     The move inverts the exact one-step law base + (lam2/n) N, which is
     the two-branch law of the scalar sampler. Counts are K - 1 float64
@@ -202,8 +207,10 @@ def _simulate_block(
     chunk = min(marks[-1], _CHUNK)
     buf = np.empty((chunk, width))
     block = np.empty((min(width, _REFILL_BLOCK), chunk))
-    base = base_step_rates(params).tolist()
+    # 0-d array operands: a Python float or numpy scalar is converted on every ufunc call
+    base = [np.array(b) for b in base_step_rates(params)]
     lam2 = params.second_eigenvalue
+    c = np.empty(())
     cum0 = np.cumsum(init.distribution(params))
 
     sum_x = np.zeros((len(marks), d), dtype=np.int64)
@@ -231,7 +238,7 @@ def _simulate_block(
                 if col == 0:
                     _refill(tile, block, gens, min(chunk, marks[-1] - n))
                 u = tile[col]
-                c = lam2 / n
+                c.fill(lam2 / n)
                 np.multiply(rows[0], c, out=acc)
                 np.add(acc, base[0], out=acc)
                 np.greater_equal(acc, u, out=hit)
@@ -308,6 +315,8 @@ def run_ensemble(
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a sample covariance")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     marks = _checkpoint_marks(n_steps, checkpoints)
     if replicas * marks[-1] ** 2 >= 2**62:
         size = f"{replicas} * {marks[-1]}^2"

@@ -564,6 +564,16 @@ class TestUsageContract:
         code, out, err = run_cli(capsys, *command, "--steps", steps)
         assert (code, out, err) == (1, "", "memwalk: error: n_steps must be >= 1\n")
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--d", "1", "--p", "0.6", "--theta", "1", "--steps", "50", "--reps", "10"],
+        ["verify", "--tag", "lln", "--d", "1", "--theta", "0.3", "--p", "0.8", "--steps", "10", "--reps", "10"],
+        ["phase-diagram", "--d", "1", "--theta-grid", "1", "--p-grid", "0.6", "--steps", "100", "--reps", "20"],
+    ], ids=["simulate", "verify", "phase-diagram"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, command, workers):
+        code, out, err = run_cli(capsys, *command, "--workers", workers)
+        assert (code, out, err) == (1, "", f"memwalk: error: workers must be >= 1, got {workers}\n")
+
     def test_checkpoints_rejected_by_a_tag_that_ignores_them(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--tag", "lln", "--d", "1", "--theta", "0.3", "--p", "0.8",
                                  "--steps", "10", "--reps", "10", "--checkpoints", "10")

@@ -151,10 +151,18 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_matches_reference_over_refill_blocks(self, K):
-        # two full refill blocks and a partial third
+        # four full refill blocks and a partial fifth
         hi = 3 + 2 * montecarlo._REFILL_BLOCK + 41
         params = validate_params(K // 2, K % 2 == 1, 0.2, 0.3)
         assert_same_block(params, InitialSpec.fixed(K - 1), 200, [1, 199, 200], 13, 3, hi)
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_matches_reference_over_refill_blocks_across_refill(self, K):
+        # two full refill blocks and a partial third, each drawn again at step _CHUNK + 1
+        n = montecarlo._CHUNK + 50
+        hi = 3 + 2 * montecarlo._REFILL_BLOCK + 5
+        params = validate_params(K // 2, K % 2 == 1, 0.85, 0.7)
+        assert_same_block(params, UNIFORM, n, [1, montecarlo._CHUNK, n], 31, 3, hi)
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     @pytest.mark.parametrize("start", ["uniform", "fixed"])

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KNOWN_RED = "tests/test_acceptance.py::test_criterion_09_limit_moments"
 MC, THEORY, ORACLE = "src/memwalk/montecarlo.py", "src/memwalk/theory.py", "src/memwalk/oracle.py"
 VERIFY_TESTS = ("tests/test_montecarlo.py::TestVerify",)
+KERNEL_TESTS = ("tests/test_montecarlo.py::TestKernelReference",)
 # clt-diffusive's two ensembles, in the order it walks them
 CROSS_TIME_RUN = """    cross_emp = cross_time_covariance(
         params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
@@ -87,6 +88,8 @@ MUTANTS = [
            "",
            ("tests/test_cli.py::TestUsageContract::test_steps_below_one_rejected_before_the_checkpoints",)),
     # the samplers
+    Mutant("kernel-stale-coefficient", MC, "c.fill(lam2 / n)", "if n != 2: c.fill(lam2 / n)", KERNEL_TESTS),
+    Mutant("refill-column-offset", MC, "= part.T", "= np.roll(part.T, 1, axis=1)", KERNEL_TESTS),
     Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
            "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
     Mutant("step-skip-rule", "src/memwalk/model.py", "idx += idx >= remembered", "idx += idx > remembered",
