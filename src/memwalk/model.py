@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +47,8 @@ class ModelParams:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
+        # an integral float such as 2.0 is stored as the int 2 that numpy shapes need
+        object.__setattr__(self, "d", int(self.d))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         if not 0.0 <= self.theta <= 1.0:
@@ -83,7 +84,7 @@ def validate_params(d: int, lazy: bool, p: float, theta: float) -> ModelParams:
     return ModelParams(d=d, lazy=bool(lazy), p=float(p), theta=float(theta))
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkState:
     """State after n steps: the per-direction counts, which sum to n."""
 
@@ -174,17 +175,41 @@ def conditional_law(params: ModelParams, state: WalkState) -> np.ndarray:
     return law
 
 
-@lru_cache
-def _first_step_cdf(init: InitialSpec, params: ModelParams) -> tuple[float, ...]:
-    """Cumulative first-step law, validated and built once per (init, params)."""
-    return tuple(np.cumsum(init.distribution(params)).tolist())
+def _cuts(law: np.ndarray) -> tuple[float, ...]:
+    """The first K - 1 partial sums of ``law``, in ``np.cumsum``'s order.
+
+    ``bisect_right(_cuts(law), u)`` is ``np.searchsorted(np.cumsum(law), u,
+    side="right")`` clipped to K - 1: the last sum is never compared, so a
+    uniform at or above it picks the last index, also where rounding makes
+    the law sum to a little below one.
+    """
+    return tuple(np.cumsum(law)[:-1].tolist())
+
+
+# First-step tables by (kind, index, probs, d, lazy): the cuts of the
+# first-step law, and the one-hot count rows that ``initial_step`` copies.
+# The key is plain fields, which hash faster than the two frozen dataclasses,
+# and the samplers read it inline, which is cheaper than a call.
+_FIRST_STEP: dict[tuple, tuple[tuple[float, ...], tuple[np.ndarray, ...]]] = {}
+_TABLE_ENTRIES = 128  # a full table cache is emptied first, so a sweep over many parameters stays small
+
+
+def _first_step_table(
+    key: tuple, init: InitialSpec, params: ModelParams
+) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """Validate the first-step law of (init, params) and cache its table under ``key``."""
+    law = init.distribution(params)
+    if len(_FIRST_STEP) >= _TABLE_ENTRIES:
+        _FIRST_STEP.clear()
+    table = _FIRST_STEP[key] = (_cuts(law), tuple(np.eye(len(law), dtype=np.int64)))
+    return table
 
 
 def initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generator) -> WalkState:
     """Sample X_1 from ``init`` and return the one-step state."""
-    counts = np.zeros(params.K, dtype=np.int64)
-    counts[min(bisect_right(_first_step_cdf(init, params), rng.random()), len(counts) - 1)] = 1
-    return WalkState(1, counts)
+    key = (init.kind, init.index, init.probs, params.d, params.lazy)
+    first, rows = _FIRST_STEP.get(key) or _first_step_table(key, init, params)
+    return WalkState(1, rows[bisect_right(first, rng.random())].copy())
 
 
 def draw_below(m: int, rng: np.random.Generator) -> int:
@@ -195,10 +220,12 @@ def draw_below(m: int, rng: np.random.Generator) -> int:
 def draw_holder(counts: list[int], rng: np.random.Generator) -> int:
     """Index i with probability counts[i] / sum(counts): the holder of an item drawn uniformly."""
     t = draw_below(sum(counts), rng)
-    for i, c in enumerate(counts):
+    i = 0  # counted by hand: cheaper than enumerate over a few counts
+    for c in counts:
         t -= c
         if t < 0:
             return i
+        i += 1
 
 
 def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> WalkState:
@@ -209,21 +236,22 @@ def step(params: ModelParams, state: WalkState, rng: np.random.Generator) -> Wal
     probability p, otherwise replaced uniformly by another move. Bias
     branch: +e_1 with probability p, otherwise uniformly another move.
     """
-    if state.n < 1:
+    n = state.n
+    if n < 1:
         raise ValueError("cannot step before the first move is placed")
-    counts = state.counts.copy()
-    others = len(counts) - 1  # K - 1
+    held = state.counts.tolist()
     if rng.random() < params.theta:
-        remembered = draw_holder(counts.tolist(), rng)
+        remembered = draw_holder(held, rng)
         if rng.random() < params.p:
             idx = remembered
         else:  # uniform over the K - 1 moves other than the remembered one
-            idx = draw_below(others, rng)
+            idx = draw_below(len(held) - 1, rng)
             idx += idx >= remembered
     else:
-        idx = 0 if rng.random() < params.p else 1 + draw_below(others, rng)
-    counts[idx] += 1
-    return WalkState(state.n + 1, counts)
+        idx = 0 if rng.random() < params.p else 1 + draw_below(len(held) - 1, rng)
+    counts = state.counts.copy()
+    counts[idx] = held[idx] + 1
+    return WalkState(n + 1, counts)
 
 
 def _checkpoint_marks(n_steps: int, checkpoints) -> list[int]:

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, draw_holder
+from .model import _TABLE_ENTRIES, ModelParams, _cuts, draw_holder
 
 
-@dataclass
+@dataclass(slots=True)
 class UrnState:
     """Ball counts per color after n - 1 additions (n balls in total)."""
 
@@ -57,20 +56,31 @@ def mean_replacement_matrix(params: ModelParams) -> np.ndarray:
     return np.column_stack([replacement_distribution(params, j) for j in range(params.K)])
 
 
-@lru_cache
-def _replacement_cdfs(params: ModelParams) -> tuple[tuple[float, ...], ...]:
-    """Cumulative replacement law of every drawn color, built once per params."""
-    return tuple(tuple(np.cumsum(replacement_distribution(params, j)).tolist()) for j in range(params.K))
+# The cuts of each drawn color's replacement law by (d, lazy, p, theta), the
+# fields they read: plain fields hash faster than the frozen ModelParams.
+_REPLACEMENT: dict[tuple[int, bool, float, float], tuple[tuple[float, ...], ...]] = {}
+
+
+def _replacement_table(key: tuple, params: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """Cache ``model._cuts`` of the replacement law of every drawn color under ``key``."""
+    if len(_REPLACEMENT) >= _TABLE_ENTRIES:
+        _REPLACEMENT.clear()
+    table = _REPLACEMENT[key] = tuple(_cuts(replacement_distribution(params, j)) for j in range(params.K))
+    return table
 
 
 def urn_step(params: ModelParams, state: UrnState, rng: np.random.Generator) -> UrnState:
     """Draw a ball uniformly, add one ball by the replacement law."""
-    if state.n < 1:
+    n = state.n
+    if n < 1:
         raise ValueError("urn is empty")
+    held = state.balls.tolist()
+    key = (params.d, params.lazy, params.p, params.theta)
+    table = _REPLACEMENT.get(key) or _replacement_table(key, params)
+    added = bisect_right(table[draw_holder(held, rng)], rng.random())
     balls = state.balls.copy()
-    cdf = _replacement_cdfs(params)[draw_holder(balls.tolist(), rng)]
-    balls[min(bisect_right(cdf, rng.random()), len(cdf) - 1)] += 1
-    return UrnState(state.n + 1, balls)
+    balls[added] = held[added] + 1
+    return UrnState(n + 1, balls)
 
 
 def pairing_matrix(d: int, lazy: bool) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedUniform, chisquare_pvalue, histogram_pvalue, sampler_grid
-from memwalk import oracle, urn
+from memwalk import model, montecarlo, oracle, theory, urn
 from memwalk.model import (
     InitialSpec,
     ModelParams,
@@ -76,6 +76,18 @@ class TestValidateParams:
     def test_rejects_out_of_range(self, d, lazy, p, theta):
         with pytest.raises(ValueError):
             validate_params(d, lazy, p, theta)
+
+    def test_integral_float_dimension_is_stored_as_int(self):
+        params = validate_params(2.0, False, 0.5, 1.0)
+        assert params == validate_params(2, False, 0.5, 1.0)
+        assert type(params.d) is int and type(params.K) is int and params.K == 4
+        assert initial_step(params, InitialSpec.uniform(), np.random.default_rng(0)).counts.shape == (4,)
+        assert montecarlo.run_ensemble(params, InitialSpec.uniform(), 4, [4], 8, 0).at(4).mean.shape == (2,)
+        assert theory.exact_moments(params, InitialSpec.uniform(), 3).position_cov.shape == (3, 2, 2)
+
+    def test_non_integral_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be a positive integer, got 2.5"):
+            validate_params(2.5, False, 0.5, 1.0)
 
     def test_memory_gain_range(self):
         for K, lazy, d in [(2, False, 1), (3, True, 1), (6, False, 3)]:
@@ -187,15 +199,56 @@ class TestInitialStep:
         assert state.counts[1] == 1
 
     def test_bad_spec_raises_on_every_call(self):
-        # the first-step law is cached per (init, params); a failed check is not
+        # the first-step table is cached per start and K; a failed check is not
         params = validate_params(1, False, 0.5, 0.5)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
+        model._FIRST_STEP.clear()
         for init in (InitialSpec.fixed(2), InitialSpec.custom([0.5, 0.4]), InitialSpec(kind="odd")):
             for _ in range(2):
                 with pytest.raises(ValueError):
                     initial_step(params, init, rng)
+        assert not model._FIRST_STEP
         assert rng.bit_generator.state == before
+
+
+# (init, d, lazy, cuts of the first-step law): each start and K has its own table
+FIRST_STEPS = [
+    (InitialSpec.uniform(), 1, False, (0.5,)),
+    (InitialSpec.uniform(), 1, True, (0.5, 1.0)),
+    (InitialSpec.uniform(), 2, False, (0.25, 0.5, 0.75)),
+    (InitialSpec.fixed(0), 1, True, (1.0, 1.0)),
+    (InitialSpec.fixed(2), 1, True, (0.0, 0.0)),
+    (InitialSpec.custom([0.25, 0.75]), 1, False, (0.25,)),
+    (InitialSpec.custom([0.75, 0.25]), 1, False, (0.75,)),
+]
+
+
+class TestFirstStepTable:
+    def test_equal_specs_share_one_table(self):
+        # distinct but equal objects, and p and theta, which the first step does not read
+        model._FIRST_STEP.clear()
+        initial_step(validate_params(1, False, 0.5, 0.5), InitialSpec.custom([0.25, 0.75]), np.random.default_rng(0))
+        initial_step(validate_params(1.0, False, 0.9, 0.1), InitialSpec.custom((0.25, 0.75)), np.random.default_rng(0))
+        assert len(model._FIRST_STEP) == 1
+
+    def test_each_start_and_K_gets_its_own_table(self):
+        model._FIRST_STEP.clear()
+        for init, d, lazy, _ in FIRST_STEPS:
+            params = validate_params(d, lazy, 0.5, 0.5)
+            assert initial_step(params, init, np.random.default_rng(0)).counts.shape == (params.K,)
+        tables = sorted(model._FIRST_STEP.values(), key=lambda table: table[0])
+        assert [cuts for cuts, _ in tables] == sorted(cuts for *_, cuts in FIRST_STEPS)
+        for cuts, rows in tables:
+            assert np.array_equal(rows, np.eye(len(cuts) + 1, dtype=np.int64))
+
+    def test_returned_counts_are_the_callers_own(self):
+        params, init = validate_params(1, True, 0.5, 0.5), InitialSpec.fixed(1)
+        state = initial_step(params, init, np.random.default_rng(0))
+        state.counts += 5
+        again = initial_step(params, init, np.random.default_rng(0))
+        assert np.array_equal(again.counts, [0, 1, 0])
+        assert np.array_equal(state.counts, [5, 6, 5])
 
 
 class TestStep:

@@ -114,6 +114,28 @@ class TestMeanReplacementMatrix:
             assert np.allclose(eig, expected, atol=1e-10)
 
 
+class TestReplacementTables:
+    def test_equal_params_share_one_table(self):
+        urn._REPLACEMENT.clear()
+        for d in (1, 1.0):
+            params = validate_params(d, True, 0.4, 0.7)
+            urn_step(params, UrnState(n=1, balls=np.array([1, 0, 0])), np.random.default_rng(0))
+        assert len(urn._REPLACEMENT) == 1
+
+    def test_each_K_p_theta_gets_its_own_table(self):
+        urn._REPLACEMENT.clear()
+        points = [(1, False, 0.4, 0.7), (1, False, 0.4, 0.2), (1, False, 0.6, 0.7),
+                  (1, True, 0.4, 0.7), (2, False, 0.4, 0.7)]
+        grid = [validate_params(*point) for point in points]
+        for params in grid:
+            balls = np.zeros(params.K, dtype=np.int64)
+            balls[0] = 1
+            urn_step(params, UrnState(n=1, balls=balls), np.random.default_rng(0))
+        want = [tuple(tuple(np.cumsum(replacement_distribution(params, j))[:-1].tolist()) for j in range(params.K))
+                for params in grid]
+        assert sorted(urn._REPLACEMENT.values()) == sorted(want)
+
+
 class TestUrnStep:
     def test_persistent_monochrome(self):
         params = validate_params(1, False, 1.0, 1.0)

@@ -94,6 +94,15 @@ MUTANTS = [
            "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
     Mutant("step-skip-rule", "src/memwalk/model.py", "idx += idx >= remembered", "idx += idx > remembered",
            ("tests/test_model.py",)),
+    Mutant("first-step-row-shared", "src/memwalk/model.py", "rng.random())].copy()", "rng.random())]",
+           ("tests/test_model.py::TestFirstStepTable",)),
+    Mutant("first-step-key-no-lazy", "src/memwalk/model.py", "init.probs, params.d, params.lazy)",
+           "init.probs, params.d)", ("tests/test_model.py::TestFirstStepTable",)),
+    Mutant("cuts-keep-last-sum", "src/memwalk/model.py", "np.cumsum(law)[:-1]", "np.cumsum(law)",
+           ("tests/test_model.py::TestReferenceSampler::test_clip_when_first_step_law_sums_below_one",
+            "tests/test_urn.py::TestReferenceSampler::test_clip_at_the_largest_uniform")),
+    Mutant("urn-table-key-no-theta", "src/memwalk/urn.py", "key = (params.d, params.lazy, params.p, params.theta)",
+           "key = (params.d, params.lazy, params.p)", ("tests/test_urn.py::TestReplacementTables",)),
     # the moment engine and the limit
     Mutant("growth-factor", THEORY, "1.0 + 2.0 * lam / n", "1.0 + 2.0 * lam / (n + 1)",
            ("tests/test_theory.py::TestExactMoments",)),
