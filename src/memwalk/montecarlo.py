@@ -13,8 +13,8 @@ workers, because moment accumulators are exact integer sums, and no matter
 how a worker splits its block into tiles. A tile runs _TILE_UNIT * (6K - 8)
 replicas together (at most _TILE_MAX), with uniforms drawn _CHUNK steps at
 a time, so a process holds at most one _CHUNK x _TILE_MAX float64 buffer
-(56 MiB; 16 MiB at K = 2) and one _REFILL_BLOCK x _CHUNK refill block
-(128 KiB), whatever the replica count. Pooled calls
+(56 MiB; 16 MiB at K = 2) and one refill block of at most _REFILL_BLOCK x
+_CHUNK float64 (128 KiB), whatever the replica count. Pooled calls
 share one worker pool per process, forked by the first such call and kept
 until exit, so module state patched after that fork does not reach it.
 Each worker ends when the process that made it ends, killed or not.
@@ -44,8 +44,9 @@ _CHUNK = 1024
 #: A tile runs _TILE_UNIT * (6K - 8) replicas together, at most _TILE_MAX.
 _TILE_UNIT = 512
 _TILE_MAX = 7_168
-#: Replicas drawn together before their uniforms are transposed into the buffer:
-#: 16 x _CHUNK float64 is 128 KiB, which stays in L2 while it is transposed.
+#: Replicas drawn together before their uniforms are transposed into the buffer,
+#: at a full chunk: 16 x _CHUNK float64 is 128 KiB, which stays in L2 while it
+#: is transposed. A shorter chunk fits more replicas in the same bytes.
 _REFILL_BLOCK = 16
 #: Gate, in standard errors, of every per-scalar check in the verifiers.
 _TOLERANCE_SE = 4.0
@@ -95,14 +96,14 @@ def _stream_words(seed: int, lo: int, hi: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
-class _Words(ISeedSequence):
-    """Seed sequence that hands PCG64 precomputed state words."""
+class _SeedRows(ISeedSequence):
+    """Seed source that hands each PCG64 seeded from it the next row of precomputed state words."""
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        return next(self.rows)
 
 
 @dataclass
@@ -138,10 +139,11 @@ class EnsembleSummary:
 
 
 def _refill(tile: np.ndarray, block: np.ndarray, gens: list, size: int) -> None:
-    """Draw the next ``size`` uniforms of stream ``gens[r]`` into rows [0, size) of column r."""
-    w = len(gens)
-    for r0 in range(0, w, _REFILL_BLOCK):
-        part = block[: min(_REFILL_BLOCK, w - r0), :size]
+    """Draw the next ``size`` uniforms of stream ``gens[r]`` into rows [0, size) of column r,
+    len(block) streams at a time."""
+    w, rows = len(gens), len(block)
+    for r0 in range(0, w, rows):
+        part = block[: min(rows, w - r0), :size]
         for r, row in enumerate(part, r0):
             gens[r].random(out=row)
         tile[:size, r0 : r0 + len(part)] = part.T
@@ -165,21 +167,26 @@ def _simulate_block(
     The range runs as the fewest tiles of near-equal width at most
     min(_TILE_UNIT * (6K - 8), _TILE_MAX): a step costs 6K - 8 numpy
     calls, so wider tiles at larger K keep the per-call overhead small.
-    Each tile seeds its own streams, takes the first step and walks mark
-    to mark, adding the positions at each mark into the block's integer
-    sums and retained rows. One (min(n, _CHUNK) x width) buffer and one
+    Each tile seeds its own streams, from one seed source that hands each
+    PCG64 the next row of the tile's stream words, takes the first step
+    and walks mark to mark, adding the positions at each mark into the
+    block's integer sums and retained rows. One (min(n, _CHUNK) x width) buffer and one
     refill block serve every tile. Replica streams are independent, so
     the tiling changes no draw.
 
     Each replica consumes exactly one uniform per step from its own
     generator, buffered in chunks of _CHUNK steps, step-major so that a
-    step reads one contiguous row. A refill draws the chunks of up to
-    _REFILL_BLOCK replicas into rows and transposes them into the buffer,
-    which misses the cache far less than writing each replica's column in
-    turn. The buffer is min(n, _CHUNK) x width float64, at most 16 MiB at
-    K = 2 and 56 MiB at any K; the refill block is _REFILL_BLOCK x _CHUNK
-    float64, 128 KiB, so that it stays in L2 between the draws and the transpose
-    that reads it back.
+    step reads one contiguous row. A refill draws the chunks of
+    _REFILL_BLOCK * _CHUNK // chunk replicas at a time (capped by the tile
+    width) into rows and transposes them into the buffer, which misses the
+    cache far less than writing each replica's column in turn: 16 replicas
+    at the full 1 024-step chunk, 32 at 500 steps. The buffer is
+    min(n, _CHUNK) x width float64, at most 16 MiB at K = 2 and 56 MiB at
+    any K; the refill block is at most 128 KiB whatever the chunk, so that
+    it stays in L2 between the draws and the transpose that reads it back.
+    The step loop's row views, ufuncs and operands are bound once per
+    tile, so a step runs its 6K - 8 numpy calls with little Python around
+    them.
 
     The move inverts the exact one-step law base + (lam2/n) N, which is
     the two-branch law of the scalar sampler. Counts are K - 1 float64
@@ -206,12 +213,14 @@ def _simulate_block(
     width = -(-nrep // tiles)
     chunk = min(marks[-1], _CHUNK)
     buf = np.empty((chunk, width))
-    block = np.empty((min(width, _REFILL_BLOCK), chunk))
+    block = np.empty((min(width, _REFILL_BLOCK * _CHUNK // chunk), chunk))
     # 0-d array operands: a Python float or numpy scalar is converted on every ufunc call
     base = [np.array(b) for b in base_step_rates(params)]
-    lam2 = params.second_eigenvalue
+    base0, lam2 = base[0], params.second_eigenvalue
     c = np.empty(())
     cum0 = np.cumsum(init.distribution(params))
+    multiply, add, subtract, greater_equal = np.multiply, np.add, np.subtract, np.greater_equal
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
 
     sum_x = np.zeros((len(marks), d), dtype=np.int64)
     sum_xx = np.zeros((len(marks), d, d), dtype=np.int64)
@@ -219,16 +228,21 @@ def _simulate_block(
 
     for a, b in zip(edges, edges[1:]):
         w = b - a
-        gens = [np.random.Generator(np.random.PCG64(_Words(v))) for v in _stream_words(seed, a, b)]
+        seeds = _SeedRows(_stream_words(seed, a, b))
+        gens = [Generator(PCG64(seeds)) for _ in range(w)]
         tile = buf[:, :w]
+        us = list(tile)
         cum = np.zeros((K - 1, w))
         rows = list(cum)
+        first_row, last_row = rows[0], rows[-1]
+        # (M_k, M_(k-1), base_k) of the colours k = 1 .. K - 2; none at K = 2
+        inner = list(zip(rows[1:], rows, base[1:-1]))
         acc, tmp = np.empty(w), np.empty(w)
         hit = np.empty(w, dtype=bool)
 
         # first step from the initial distribution; here a tie moves past the partial sum
         _refill(tile, block, gens, chunk)
-        first = np.minimum(np.searchsorted(cum0, tile[0], side="right"), K - 1)
+        first = np.minimum(np.searchsorted(cum0, us[0], side="right"), K - 1)
         cum[:] = first <= np.arange(K - 1)[:, None]
 
         # walk on from the previous mark (from the first step, for the first mark), then record
@@ -237,26 +251,26 @@ def _simulate_block(
                 col = n % chunk
                 if col == 0:
                     _refill(tile, block, gens, min(chunk, marks[-1] - n))
-                u = tile[col]
+                u = us[col]
                 c.fill(lam2 / n)
-                np.multiply(rows[0], c, out=acc)
-                np.add(acc, base[0], out=acc)
-                np.greater_equal(acc, u, out=hit)
-                for k in range(1, K - 1):
-                    np.subtract(rows[k], rows[k - 1], out=tmp)
-                    np.multiply(tmp, c, out=tmp)
-                    np.add(tmp, base[k], out=tmp)
-                    np.add(acc, tmp, out=acc)
-                    np.add(rows[k - 1], hit, out=rows[k - 1])
-                    np.greater_equal(acc, u, out=hit)
-                np.add(rows[-1], hit, out=rows[-1])
+                multiply(first_row, c, acc)
+                add(acc, base0, acc)
+                greater_equal(acc, u, hit)
+                for row, below, base_k in inner:
+                    subtract(row, below, tmp)
+                    multiply(tmp, c, tmp)
+                    add(tmp, base_k, tmp)
+                    add(acc, tmp, acc)
+                    add(below, hit, below)
+                    greater_equal(acc, u, hit)
+                add(last_row, hit, last_row)
             counts = np.diff(cum, axis=0, prepend=0.0, append=float(mark))
             pos = urn.counts_to_position(counts.T, d, params.lazy).astype(np.int64)
             sum_x[ci] += pos.sum(axis=0)
             sum_xx[ci] += pos.T @ pos
             if samples is not None:
                 samples[ci][a - lo : b - lo] = pos
-        del gens  # free these generators before the next tile makes its own
+        del gens, seeds  # free these generators before the next tile makes its own
 
     return sum_x, sum_xx, samples
 

@@ -1,0 +1,21 @@
+"""tools/kernel_grid.py prints one JSON line of kernel costs."""
+
+import importlib.util
+import json
+
+from conftest import SRC
+
+_spec = importlib.util.spec_from_file_location("kernel_grid", SRC.parent / "tools" / "kernel_grid.py")
+kernel_grid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(kernel_grid)
+
+
+def test_tiny_grid_prints_one_json_line(capsys):
+    grid = [(1, False, 3, 5), (1, True, 2, 1)]
+    assert kernel_grid.main(grid) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    points = json.loads(lines[0])["points"]
+    assert list(points) == ["K = 2, R = 3, n = 5", "lazy K = 3, R = 2, n = 1"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in points.values())
+

@@ -18,7 +18,7 @@ from memwalk.montecarlo import (
     VerifyBudget,
     _simulate_block,
     _stream_words,
-    _Words,
+    _SeedRows,
     cross_time_covariance,
     default_budget,
     gaussianity_check,
@@ -164,6 +164,15 @@ class TestKernelReference:
         params = validate_params(K // 2, K % 2 == 1, 0.85, 0.7)
         assert_same_block(params, UNIFORM, n, [1, montecarlo._CHUNK, n], 31, 3, hi)
 
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_matches_reference_over_byte_sized_refill_blocks(self, K):
+        # a walk below _CHUNK steps has a shorter chunk, so a refill block of the
+        # same bytes holds more replicas: two full blocks and a partial third
+        n = montecarlo._CHUNK // 4
+        rows = montecarlo._REFILL_BLOCK * montecarlo._CHUNK // n
+        params = validate_params(K // 2, K % 2 == 1, 0.85, 0.7)
+        assert_same_block(params, UNIFORM, n, [1, n // 2, n], 37, 6, 6 + 2 * rows + 9)
+
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     @pytest.mark.parametrize("start", ["uniform", "fixed"])
     @pytest.mark.parametrize("n_steps, marks", [(1, [1]), (3, [1, 2, 3])])
@@ -281,8 +290,8 @@ class TestReplicaStreams:
         assert replica_stream_seed(42, 1) == 2949826092126892291
 
     def test_known_uniforms_at_default_verify_seed(self):
-        words = _stream_words(20240901, 0, 2)
-        first = [np.random.Generator(np.random.PCG64(_Words(w))).random(4).tolist() for w in words]
+        seeds = _SeedRows(_stream_words(20240901, 0, 2))
+        first = [np.random.Generator(np.random.PCG64(seeds)).random(4).tolist() for _ in range(2)]
         assert first == [
             [0.807837133298002, 0.43873429742576864, 0.557458738064979, 0.8513398442560889],
             [0.5467919946887163, 0.1560149225523545, 0.6273206801694048, 0.8230245195056678],
@@ -323,10 +332,20 @@ class TestReplicaStreams:
         assert np.array_equal(_stream_words(seed, replica, replica + 1)[0], want)
 
     def test_streams_match_seed_sequence_draws(self):
-        for i, row in enumerate(_stream_words(20240901, 3, 200), 3):
-            got = np.random.Generator(np.random.PCG64(_Words(row))).random(64)
+        seeds = _SeedRows(_stream_words(20240901, 3, 200))
+        for i in range(3, 200):
+            got = np.random.Generator(np.random.PCG64(seeds)).random(64)
             want = np.random.Generator(np.random.PCG64(replica_stream_seed(20240901, i))).random(64)
             assert np.array_equal(got, want)
+
+    def test_one_seed_source_over_adjacent_tiles(self):
+        # the generators of tile [5, 12) and then of tile [12, 20), all from one source over [5, 20)
+        seed = 2**64 - 3
+        seeds = _SeedRows(_stream_words(seed, 5, 20))
+        tiles = [[np.random.Generator(np.random.PCG64(seeds)) for _ in range(a, b)] for a, b in ((5, 12), (12, 20))]
+        for i, gen in enumerate(tiles[0] + tiles[1], 5):
+            want = np.random.Generator(np.random.PCG64(replica_stream_seed(seed, i))).random(16)
+            assert np.array_equal(gen.random(16), want), i
 
 
 class TestRunEnsemble:

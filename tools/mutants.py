@@ -90,8 +90,12 @@ MUTANTS = [
     # the samplers
     Mutant("kernel-stale-coefficient", MC, "c.fill(lam2 / n)", "if n != 2: c.fill(lam2 / n)", KERNEL_TESTS),
     Mutant("refill-column-offset", MC, "= part.T", "= np.roll(part.T, 1, axis=1)", KERNEL_TESTS),
-    Mutant("kernel-tie", MC, "np.greater_equal(acc, u, out=hit)\n                for k",
-           "np.greater(acc, u, out=hit)\n                for k", ("tests/test_montecarlo.py::TestTieRule",)),
+    Mutant("kernel-tie", MC, "greater_equal(acc, u, hit)\n                for row",
+           "np.greater(acc, u, hit)\n                for row", ("tests/test_montecarlo.py::TestTieRule",)),
+    Mutant("refill-block-rows-off-by-one", MC, "for r0 in range(0, w, rows):", "for r0 in range(0, w, rows + 1):",
+           ("tests/test_montecarlo.py::TestKernelReference::test_matches_reference_over_byte_sized_refill_blocks",)),
+    Mutant("seed-source-row-twice", MC, "self.rows = iter(words)", "self.rows = iter(np.repeat(words, 2, axis=0))",
+           ("tests/test_montecarlo.py::TestReplicaStreams::test_one_seed_source_over_adjacent_tiles",)),
     Mutant("step-skip-rule", "src/memwalk/model.py", "idx += idx >= remembered", "idx += idx > remembered",
            ("tests/test_model.py",)),
     Mutant("first-step-row-shared", "src/memwalk/model.py", "rng.random())].copy()", "rng.random())]",
