@@ -667,7 +667,7 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
     rel = _rel(emp_second, limit.second_moment)
 
     # centered mean: E(S_n) from the exact recursion, scaled like L
-    exact_mean = theory._mean_position(params, budget.init, n)
+    exact_mean = theory._moments_at(params, budget.init, [n]).mean_position[0]
     mean_l = (cp.mean - exact_mean) / float(n) ** r
     se_l = cp.stderr / float(n) ** r
     mean_z = _se_units(mean_l, se_l)

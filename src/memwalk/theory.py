@@ -20,6 +20,7 @@ precision, so the module needs numpy alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -106,7 +107,7 @@ def _forcing(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """v = b / (1 - lam), the limit of N_n / n, and B0 = diag v - v v^T.
 
     B0 is the limit of the forcing diag mu_n - mu_n mu_n^T of the count
-    covariance recursion in exact_moments; undefined at theta = p = 1.
+    covariance recursion in _moments_at; undefined at theta = p = 1.
     """
     v = base_step_rates(params) / (1.0 - params.second_eigenvalue)
     return v, np.diag(v) - np.outer(v, v)
@@ -263,31 +264,30 @@ def martingale_square_series(params: ModelParams) -> float:
     return _square_series(params.second_eigenvalue)
 
 
-#: Ceiling on the memory of the tables exact_moments can build (1 GiB),
-#: counting every table as if all were read.
+#: Ceiling on the memory of exact_moments' n_max rows (1 GiB), counting every table as if all
+#: were read. Only rows kept count: the one-mark mean verify --tag moments reads meets no cap.
 MAX_TABLE_BYTES = 1 << 30
 
 
 class MomentTable:
-    """Exact moments for n = 1..N, projected to position space.
+    """Exact moments at the marks n = steps[i] of _moments_at, projected to position space.
 
-    Holds only the (N, 7) scalar weights of exact_moments, b, pi, its five
-    basis matrices and the pairing P. Each of steps, mean_counts,
-    counts_second, mean_position and position_cov is built on its first
-    read and kept; the position tables build no count table.
-    mean_counts[n-1] sums to n; position_cov[n-1] is symmetric positive
-    semidefinite up to roundoff.
+    Holds only the marks, the (M, 7) scalar weights kept at them, b, pi, the
+    five basis matrices and the pairing P. Each of steps, mean_counts,
+    counts_second, mean_position and position_cov is built on its first read
+    and kept; the position tables build no count table. mean_counts[i] sums
+    to steps[i]; position_cov[i] is symmetric positive semidefinite up to roundoff.
     """
 
-    def __init__(self, coef, b, pi, basis, proj):
-        self._coef, self._b, self._pi, self._basis, self._proj = coef, b, pi, basis, proj
+    def __init__(self, marks, coef, b, pi, basis, proj):
+        self._marks, self._coef, self._b, self._pi, self._basis, self._proj = marks, coef, b, pi, basis, proj
 
     def _mean(self) -> np.ndarray:
         return np.outer(self._coef[:, 0], self._pi) + np.outer(self._coef[:, 1], self._b)
 
     @cached_property
     def steps(self) -> np.ndarray:
-        return np.arange(1, len(self._coef) + 1)
+        return np.array(self._marks)
 
     @cached_property
     def mean_counts(self) -> np.ndarray:
@@ -314,20 +314,8 @@ class MomentTable:
 def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentTable:
     """Tabulate exact count and position moments for n = 1..n_max.
 
-    With b = base_step_rates, pi the first-step law and lam the second
-    eigenvalue, the next move given the counts N_n has law
-    mu = b + (lam/n) N_n. Its mean mu_n = b + (lam/n) m_n is the
-    increment of m_n = E N_n, so m_n = c_n pi + e_n b and
-    mu_n = x_n b + y_n pi with x_n = 1 + lam e_n/n, y_n = lam c_n/n.
-    The covariance obeys
-    Sigma_{n+1} = (1 + 2 lam/n) Sigma_n + diag(mu_n) - mu_n mu_n^T,
-    so it is a combination of the fixed matrices diag b, diag pi, b b^T,
-    b pi^T + pi b^T and pi pi^T, starting from Sigma_1 = diag pi - pi pi^T.
-    Only these scalar weights are run forward, never divided by their
-    running products, which vanish at lam = -1 and lam = -1/2. Exact up
-    to roundoff; agrees with full path enumeration for small instances.
-    The returned table keeps only these weights and the fixed matrices,
-    and builds each of its tables on first read.
+    The one recursion of _moments_at, kept at every n; its n_max rows are held
+    to MAX_TABLE_BYTES first. Agrees with full path enumeration for small instances.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -339,36 +327,46 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
             f"exact_moments to n_max = {n_max} at K = {K} needs {need / 2**20:.0f} MiB,"
             f" above the {MAX_TABLE_BYTES >> 20} MiB limit"
         )
+    return _moments_at(params, init, range(1, n_max + 1))
+
+
+def _moments_at(params: ModelParams, init: InitialSpec, marks) -> MomentTable:
+    """Exact count and position moments at the strictly increasing marks n >= 1.
+
+    With b = base_step_rates, pi the first-step law and lam the second
+    eigenvalue, the next move given the counts N_n has law
+    mu = b + (lam/n) N_n. Its mean mu_n = b + (lam/n) m_n is the
+    increment of m_n = E N_n, so m_n = c_n pi + e_n b and
+    mu_n = x_n b + y_n pi with x_n = 1 + lam e_n/n, y_n = lam c_n/n.
+    The covariance obeys Sigma_{n+1} = (1 + 2 lam/n) Sigma_n + diag(mu_n) - mu_n mu_n^T,
+    so it is a combination of the fixed matrices diag b, diag pi, b b^T,
+    b pi^T + pi b^T and pi pi^T, starting from Sigma_1 = diag pi - pi pi^T.
+    These seven scalar weights run forward once to the last mark, never divided
+    by their running products, which vanish at lam = -1 and lam = -1/2, and a
+    row is kept only at a mark. Exact up to roundoff.
+    """
+    if len(marks) == 0 or marks[0] < 1 or not all(map(operator.lt, marks, marks[1:])):
+        raise ValueError("marks must be a non-empty, strictly increasing sequence of n >= 1")
     lam = params.second_eigenvalue
     b = base_step_rates(params)
     pi = init.distribution(params)
     c, e = 1.0, 0.0
     wb, wp, wbb, wbp, wpp = 0.0, 1.0, 0.0, 0.0, -1.0
-    coef = np.empty((n_max, 7))
-    for n in range(1, n_max + 1):
-        coef[n - 1] = c, e, wb, wp, wbb, wbp, wpp
+    coef = np.empty((len(marks), 7))
+    following = iter(marks)
+    mark, i = next(following), 0
+    for n in range(1, marks[-1] + 1):
+        if n == mark:
+            coef[i] = c, e, wb, wp, wbb, wbp, wpp
+            i += 1
+            mark = next(following, 0)
         x, y, g = 1.0 + lam * e / n, lam * c / n, 1.0 + 2.0 * lam / n
         wb, wp, wbb, wbp, wpp = g * wb + x, g * wp + y, g * wbb - x * x, g * wbp - x * y, g * wpp - y * y
         c, e = c + y, e + x
     basis = np.stack([
         np.diag(b), np.diag(pi), np.outer(b, b), np.outer(b, pi) + np.outer(pi, b), np.outer(pi, pi),
     ])
-    return MomentTable(coef, b, pi, basis, urn.pairing_matrix(params.d, params.lazy))
-
-
-def _mean_position(params: ModelParams, init: InitialSpec, n: int) -> np.ndarray:
-    """E S_n at one n: the last row of exact_moments' mean_position, bit for bit.
-
-    Runs only the (c_n, e_n) pair of the mean m_n = c_n pi + e_n b, with
-    the same operations in the same order, and builds no table.
-    """
-    lam = params.second_eigenvalue
-    c, e = 1.0, 0.0
-    for m in range(1, n):
-        x, y = 1.0 + lam * e / m, lam * c / m
-        c, e = c + y, e + x
-    mean_counts = c * init.distribution(params) + e * base_step_rates(params)
-    return mean_counts @ urn.pairing_matrix(params.d, params.lazy).T
+    return MomentTable(marks, coef, b, pi, basis, urn.pairing_matrix(params.d, params.lazy))
 
 
 def _drift_square_weight(r: float) -> float:
@@ -397,7 +395,7 @@ def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
     """Second moment of the superdiffusive scaled limit, r = second_eigenvalue.
 
     With v = b / (1 - r) (v = pi at theta = p = 1, where b = 0) and
-    w = pi - v, the mean of exact_moments is m_n = n v + c_n w, and the
+    w = pi - v, the mean of _moments_at is m_n = n v + c_n w, and the
     forcing of its covariance recursion is B0 + t_n B1 - t_n^2 B2 with
     t_n = r c_n / n, B0 = diag v - v v^T, B1 = diag w - v w^T - w v^T and
     B2 = w w^T. Summing the forcing against the inverse growth factor

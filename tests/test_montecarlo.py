@@ -716,6 +716,14 @@ class TestVerify:
         assert not report.passed
         assert report.tolerance[key] == 0.0
 
+    def test_moments_mean_meets_no_table_cap(self, monkeypatch):
+        # E S_n is one mark of the moment recursion, so a cap of five rows at K = 2 changes no byte
+        params = validate_params(1, False, 0.9, 1.0)
+        budget = default_budget("moments", n_steps=2_000, replicas=200, seed=5)
+        want = json.dumps(verify("moments", params, budget).as_dict())
+        monkeypatch.setattr(theory, "MAX_TABLE_BYTES", 5 * 8 * 23)
+        assert json.dumps(verify("moments", params, budget).as_dict()) == want
+
     def test_hand_built_budget_takes_table_defaults(self):
         params = validate_params(1, False, 0.75, 1.0)
         budget = VerifyBudget(n_steps=30, replicas=2_000, checkpoints=[3, 30])

@@ -525,13 +525,24 @@ class TestExactMoments:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-3
 
-    @pytest.mark.parametrize("d, lazy", [(1, False), (1, True), (2, False), (2, True)])
-    def test_mean_position_is_last_table_row(self, d, lazy):
-        params = validate_params(d, lazy, 0.9, 0.8)
-        for init in (InitialSpec.uniform(), InitialSpec.fixed(0)):
-            for n in (1, 2, 2_000, 100_000):
-                want = exact_moments(params, init, n).mean_position[-1]
-                assert np.array_equal(theory._mean_position(params, init, n), want)
+    @pytest.mark.parametrize("K", range(2, 8))
+    @pytest.mark.parametrize("theta", [0.0, 0.6, 1.0])
+    def test_rows_at_marks_are_table_rows(self, K, theta):
+        params = validate_params(K // 2, K % 2 == 1, 0.9, theta)
+        marks = [1, 2, 377, 1_000]
+        for init in (InitialSpec.uniform(), InitialSpec.fixed(0), first_steps(K)[2]):
+            at, table = theory._moments_at(params, init, marks), exact_moments(params, init, marks[-1])
+            for name in TABLES:
+                want = getattr(table, name)[np.subtract(marks, 1)]
+                got = getattr(at, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (name, init)
+
+    @pytest.mark.parametrize(
+        "marks", [[], [0, 5], [3, 3, 7], [7, 3]], ids=["empty", "below-one", "repeated", "decreasing"]
+    )
+    def test_bad_marks_rejected(self, marks):
+        with pytest.raises(ValueError, match="non-empty, strictly increasing sequence of n >= 1"):
+            theory._moments_at(validate_params(1, False, 0.9, 1.0), InitialSpec.uniform(), marks)
 
     @pytest.mark.parametrize("K", range(2, 8))
     @pytest.mark.parametrize("theta", [0.0, 0.6, 1.0])

@@ -40,6 +40,16 @@ N_STEPS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget
 # moments' theory reference and its one ensemble, in the order it reads them
 MOMENTS_LIMIT = "    limit = theory.limit_moments(params, budget.init)\n"
 MOMENTS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers)\n"
+# one step of the moment recursion: the row at a mark is kept before the advance
+MARK_ROW = """        if n == mark:
+            coef[i] = c, e, wb, wp, wbb, wbp, wpp
+            i += 1
+            mark = next(following, 0)
+"""
+ADVANCE = """        x, y, g = 1.0 + lam * e / n, lam * c / n, 1.0 + 2.0 * lam / n
+        wb, wp, wbb, wbp, wpp = g * wb + x, g * wp + y, g * wbb - x * x, g * wbp - x * y, g * wpp - y * y
+        c, e = c + y, e + x
+"""
 
 
 class Mutant(NamedTuple):
@@ -75,6 +85,9 @@ MUTANTS = [
     # each verifier reads its theory reference, whose domain is the tag's regime, before any walk
     Mutant("moments-limit-after-walk", MC, MOMENTS_LIMIT + MOMENTS_RUN, MOMENTS_RUN + MOMENTS_LIMIT,
            ("tests/test_montecarlo.py::TestVerify::test_regime_fails_before_the_walks",)),
+    Mutant("moments-mean-from-table", MC, "theory._moments_at(params, budget.init, [n]).mean_position[0]",
+           "theory.exact_moments(params, budget.init, n).mean_position[-1]",
+           ("tests/test_montecarlo.py::TestVerify::test_moments_mean_meets_no_table_cap",)),
     Mutant("closed-form-gate-wide", THEORY,
            '(Regime.SUPERDIFFUSIVE,), "the closed-form limit second moment"',
            '(Regime.SUPERDIFFUSIVE, Regime.DIFFUSIVE), "the closed-form limit second moment"',
@@ -111,6 +124,8 @@ MUTANTS = [
     Mutant("growth-factor", THEORY, "1.0 + 2.0 * lam / n", "1.0 + 2.0 * lam / (n + 1)",
            ("tests/test_theory.py::TestExactMoments",)),
     Mutant("sigma-recursion", THEORY, "g * wbb - x * x", "g * wbb - x * y",
+           ("tests/test_theory.py::TestExactMoments",)),
+    Mutant("row-after-advance", THEORY, MARK_ROW + ADVANCE, ADVANCE + MARK_ROW,
            ("tests/test_theory.py::TestExactMoments",)),
     Mutant("b0-weight", THEORY, "+ b0 / (2.0 * r - 1.0)", "+ b0 / (2.0 * r)",
            ("tests/test_theory.py::TestLimitMoments",)),
