@@ -423,17 +423,24 @@ def cross_time_covariance(
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
     theory._require_regime(params, theory._DIFFUSIVE_REGIMES, "the cross-time covariance")
+    ns, nt = _cross_time_marks(s, t, n_scale)
+    summary = run_ensemble(params, init, nt, [ns, nt], replicas, seed, workers=workers, retain_samples=True)
+    return _cross_time_estimate(summary.samples[ns], summary.samples[nt], n_scale)
+
+
+def _cross_time_marks(s: float, t: float, n_scale: int) -> tuple[int, int]:
+    """The steps (floor(s * n_scale), floor(t * n_scale)) of a cross-time estimate, the first at least 1."""
     ns, nt = int(s * n_scale), int(t * n_scale)
-    summary = run_ensemble(
-        params, init, nt, sorted({ns, nt}), replicas, seed,
-        workers=workers, retain_samples=True,
-    )
-    xs = summary.samples[ns]
-    xt = summary.samples[nt]
-    R = summary.replicas
+    if ns < 1:
+        raise ValueError(f"s * n_scale = {s} * {n_scale} is below 1, the first step of a walk")
+    return ns, nt
+
+
+def _cross_time_estimate(xs: np.ndarray, xt: np.ndarray, n_scale: int) -> np.ndarray:
+    """Sample Cov(S_s, S_t) / n_scale over the (R, d) positions xs and xt of the same R walks."""
+    R = len(xs)
     sxy = (xs.T @ xt).astype(float)
-    cross = (sxy - R * np.outer(xs.mean(axis=0), xt.mean(axis=0))) / (R - 1)
-    return cross / n_scale
+    return (sxy - R * np.outer(xs.mean(axis=0), xt.mean(axis=0))) / (R - 1) / n_scale
 
 
 @dataclass
@@ -565,57 +572,49 @@ def _rel(emp, th) -> float:
     return float(_se_units(np.max(np.abs(emp - th)), np.max(np.abs(th))))
 
 
-def _verify_lln(params: ModelParams, budget: VerifyBudget) -> dict:
+def _verify_lln(params: ModelParams, budget: VerifyBudget):
     n = budget.n_steps
     limit = theory.lln_limit(params)  # raises on degenerate parameters before any walk
-    summary = run_ensemble(
-        params, budget.init, n, [n], budget.replicas, budget.seed, workers=budget.workers
-    )
-    cp = summary.at(n)
-    emp = cp.mean / n
-    se = cp.stderr / n
-    z = _se_units(emp - limit, se)
-    return dict(
-        theoretical={"limit": limit},
-        empirical={"mean_over_n": emp, "stderr": se},
-        discrepancy={"se_units": z},
-        tolerance={"se_units": _TOLERANCE_SE},
-    )
+
+    def gates(summary):
+        cp = summary.at(n)
+        emp, se = cp.mean / n, cp.stderr / n
+        return dict(theoretical={"limit": limit}, empirical={"mean_over_n": emp, "stderr": se},
+                    discrepancy={"se_units": _se_units(emp - limit, se)}, tolerance={"se_units": _TOLERANCE_SE})
+
+    return [(budget.seed, n, [n], False)], gates
 
 
-def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget) -> dict:
+def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget):
     n = budget.n_steps
     R = budget.replicas
     s_time, t_time, n_scale = budget.cross_time or (1.0, 4.0, n)
     th = theory.diffusive_covariance(params, 1.0, 1.0)
     cross_th = theory.diffusive_covariance(params, s_time, t_time)
-    # before any walk: the replica floor, and run_ensemble's int64 bound on the larger ensemble, which walks first
     _require_shape_samples(R)
-    cross_emp = cross_time_covariance(
-        params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
-    )
-    cross_rel = _rel(cross_emp, cross_th)
+    ns, nt = _cross_time_marks(s_time, t_time, n_scale)
 
-    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers, retain_samples=True)
-    cp = summary.at(n)
-    emp = cp.cov / n
-    # asymptotic SE of a Gaussian sample covariance entry
-    se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / R)
-    z = _se_units(emp - th, se)
-    # a degenerate coordinate's shape reads NaN, which fails
-    shape_z = [(s.skew_z, s.kurt_z) for s in gaussianity_check(summary.samples[n])]
+    def gates(cross, summary):
+        cross_emp = _cross_time_estimate(cross.samples[ns], cross.samples[nt], n_scale)
+        emp = summary.at(n).cov / n
+        # asymptotic SE of a Gaussian sample covariance entry
+        se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / R)
+        # a degenerate coordinate's shape reads NaN, which fails
+        shape_z = [(s.skew_z, s.kurt_z) for s in gaussianity_check(summary.samples[n])]
+        return dict(
+            theoretical={"covariance_over_n": th, "cross_time": cross_th},
+            empirical={"covariance_over_n": emp, "cross_time": cross_emp, "shape_z": shape_z},
+            discrepancy={"covariance_se_units": _se_units(emp - th, se), "shape_se_units": np.abs(shape_z),
+                         "cross_time_rel": _rel(cross_emp, cross_th)},
+            tolerance={"covariance_se_units": _TOLERANCE_SE, "shape_se_units": _TOLERANCE_SE,
+                       "cross_time_rel": _TOLERANCE_CROSS_TIME},
+        )
 
-    return dict(
-        theoretical={"covariance_over_n": th, "cross_time": cross_th},
-        empirical={"covariance_over_n": emp, "cross_time": cross_emp,
-                   "shape_z": shape_z},
-        discrepancy={"covariance_se_units": z, "shape_se_units": np.abs(shape_z), "cross_time_rel": cross_rel},
-        tolerance={"covariance_se_units": _TOLERANCE_SE, "shape_se_units": _TOLERANCE_SE,
-                   "cross_time_rel": _TOLERANCE_CROSS_TIME},
-    )
+    # cross-time first: at the default cross_time it is the larger, so the int64 bound fails before any walk
+    return [(budget.seed + 1, nt, [ns, nt], True), (budget.seed, n, [n], True)], gates
 
 
-def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
+def _verify_clt_critical(params: ModelParams, budget: VerifyBudget):
     n = budget.n_steps
     th = float(np.trace(theory.critical_covariance(params, 1.0, 1.0)))
     if budget.checkpoints is None and n < 20:
@@ -625,66 +624,61 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget) -> dict:
         raise ValueError(f"clt-critical needs two distinct checkpoints, got {marks}")
     if min(marks) < 2:
         raise ValueError(f"clt-critical needs checkpoints of at least 2, where n log n > 0, got {marks}")
-    summary = run_ensemble(params, budget.init, n, marks, budget.replicas, budget.seed, workers=budget.workers)
-    ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
-    r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
-    return dict(
-        theoretical={"trace_over_nlogn": th},
-        empirical={"trace_over_nlogn": ratios},
-        discrepancy={"between_checkpoints_rel": _rel(r_last, r_first), "vs_theory_rel": _rel(r_last, th)},
-        tolerance={"between_checkpoints_rel": _TOLERANCE_CRITICAL, "vs_theory_rel": _TOLERANCE_CRITICAL},
-    )
+
+    def gates(summary):
+        ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
+        r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
+        return dict(theoretical={"trace_over_nlogn": th}, empirical={"trace_over_nlogn": ratios},
+                    discrepancy={"between_checkpoints_rel": _rel(r_last, r_first), "vs_theory_rel": _rel(r_last, th)},
+                    tolerance={"between_checkpoints_rel": _TOLERANCE_CRITICAL, "vs_theory_rel": _TOLERANCE_CRITICAL})
+
+    return [(budget.seed, n, marks, False)], gates
 
 
-def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget) -> dict:
+def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget):
     theory._require_regime(params, (Regime.SUPERDIFFUSIVE,), "the superdiffusive exponent")
-    marks = budget.checkpoints
-    if marks is None:
-        marks = scaling_checkpoints(budget.n_steps, 7)
+    marks = scaling_checkpoints(budget.n_steps, 7) if budget.checkpoints is None else budget.checkpoints
     _require_scaling_span(marks)
-    summary = run_ensemble(
-        params, budget.init, budget.n_steps, marks, budget.replicas, budget.seed, workers=budget.workers
-    )
-    slope, se = scaling_exponent(summary)
     target = 2.0 * params.second_eigenvalue
-    return dict(
-        theoretical={"exponent": target},
-        empirical={"exponent": slope, "exponent_se": se},
-        discrepancy={"abs": abs(slope - target)},
-        tolerance={"abs": _TOLERANCE_EXPONENT},
-    )
+
+    def gates(summary):
+        slope, se = scaling_exponent(summary)
+        return dict(theoretical={"exponent": target}, empirical={"exponent": slope, "exponent_se": se},
+                    discrepancy={"abs": abs(slope - target)}, tolerance={"abs": _TOLERANCE_EXPONENT})
+
+    return [(budget.seed, budget.n_steps, marks, False)], gates
 
 
-def _verify_moments(params: ModelParams, budget: VerifyBudget) -> dict:
+def _verify_moments(params: ModelParams, budget: VerifyBudget):
     n = budget.n_steps
-    R = budget.replicas
     r = params.second_eigenvalue
     limit = theory.limit_moments(params, budget.init)
-    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers)
-    cp = summary.at(n)
-    scale = float(n) ** (2.0 * r)
-    emp_second = cp.cov / scale
-    rel = _rel(emp_second, limit.second_moment)
 
-    # centered mean: E(S_n) from the exact recursion, scaled like L
-    exact_mean = theory._moments_at(params, budget.init, [n]).mean_position[0]
-    mean_l = (cp.mean - exact_mean) / float(n) ** r
-    se_l = cp.stderr / float(n) ** r
-    mean_z = _se_units(mean_l, se_l)
+    def gates(summary):
+        cp = summary.at(n)
+        emp_second = cp.cov / float(n) ** (2.0 * r)
+        # centered mean: E(S_n) from the exact recursion, scaled like L
+        exact_mean = theory._moments_at(params, budget.init, [n]).mean_position[0]
+        mean_l = (cp.mean - exact_mean) / float(n) ** r
+        se_l = cp.stderr / float(n) ** r
+        return dict(
+            theoretical={"second_moment": limit.second_moment, "mean": limit.mean},
+            empirical={"second_moment": emp_second, "mean": mean_l, "mean_se": se_l},
+            discrepancy={"second_moment_rel": _rel(emp_second, limit.second_moment),
+                         "mean_se_units": _se_units(mean_l, se_l)},
+            tolerance={"second_moment_rel": _TOLERANCE_MOMENT, "mean_se_units": _TOLERANCE_SE},
+        )
 
-    return dict(
-        theoretical={"second_moment": limit.second_moment, "mean": limit.mean},
-        empirical={"second_moment": emp_second, "mean": mean_l, "mean_se": se_l},
-        discrepancy={"second_moment_rel": rel, "mean_se_units": mean_z},
-        tolerance={"second_moment_rel": _TOLERANCE_MOMENT, "mean_se_units": _TOLERANCE_SE},
-    )
+    return [(budget.seed, n, [n], False)], gates
 
 
 CHECKPOINT_TAGS = ("clt-critical", "superdiffusive")  # the tags whose ensembles read checkpoints
 
-#: Per tag: the verifier and the default n_steps and replicas, which fill those
-#: a caller's VerifyBudget leaves None. The gates are the _TOLERANCE_* constants
-#: above; the regimes a tag's claim is about are those of its theory reference.
+#: Per tag: the verifier and the default n_steps and replicas, which fill those a caller's
+#: VerifyBudget leaves None. A verifier reads its theory reference and checks its marks and
+#: sizes, raising before any walk, then returns (ensembles, gates): ensembles lists (seed,
+#: n_steps, marks, retain) in walk order, and gates(*summaries) builds the four dicts, with
+#: the _TOLERANCE_* gates above. Only verify walks. A tag's regimes are its theory reference's.
 _VERIFIERS = {
     "lln": (_verify_lln, dict(n_steps=100_000, replicas=200)),
     "clt-diffusive": (_verify_clt_diffusive, dict(n_steps=10_000, replicas=10_000)),
@@ -716,6 +710,9 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
         "seed": budget.seed,
         "init": budget.init.kind,
     }
-    found = _VERIFIERS[tag][0](params, budget)
+    ensembles, gates = _VERIFIERS[tag][0](params, budget)
+    summaries = [run_ensemble(params, budget.init, n, marks, budget.replicas, seed, workers=budget.workers,
+                              retain_samples=retain) for seed, n, marks, retain in ensembles]
+    found = gates(*summaries)
     passed = all(np.all(np.less_equal(v, found["tolerance"][k])) for k, v in found["discrepancy"].items())
     return VerificationReport(tag=tag, passed=passed, config=config, **found)

@@ -20,7 +20,6 @@ precision, so the module needs numpy alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -327,7 +326,7 @@ def exact_moments(params: ModelParams, init: InitialSpec, n_max: int) -> MomentT
             f"exact_moments to n_max = {n_max} at K = {K} needs {need / 2**20:.0f} MiB,"
             f" above the {MAX_TABLE_BYTES >> 20} MiB limit"
         )
-    return _moments_at(params, init, range(1, n_max + 1))
+    return _moments_at(params, init, np.arange(1, n_max + 1))
 
 
 def _moments_at(params: ModelParams, init: InitialSpec, marks) -> MomentTable:
@@ -345,7 +344,8 @@ def _moments_at(params: ModelParams, init: InitialSpec, marks) -> MomentTable:
     by their running products, which vanish at lam = -1 and lam = -1/2, and a
     row is kept only at a mark. Exact up to roundoff.
     """
-    if len(marks) == 0 or marks[0] < 1 or not all(map(operator.lt, marks, marks[1:])):
+    marks = np.asarray(marks)
+    if len(marks) == 0 or marks[0] < 1 or np.any(np.diff(marks) <= 0):
         raise ValueError("marks must be a non-empty, strictly increasing sequence of n >= 1")
     lam = params.second_eigenvalue
     b = base_step_rates(params)
@@ -353,7 +353,7 @@ def _moments_at(params: ModelParams, init: InitialSpec, marks) -> MomentTable:
     c, e = 1.0, 0.0
     wb, wp, wbb, wbp, wpp = 0.0, 1.0, 0.0, 0.0, -1.0
     coef = np.empty((len(marks), 7))
-    following = iter(marks)
+    following = iter(marks.tolist())
     mark, i = next(following), 0
     for n in range(1, marks[-1] + 1):
         if n == mark:

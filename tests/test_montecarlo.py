@@ -749,7 +749,7 @@ class TestVerify:
     ])
     def test_verdict_is_one_rule_over_the_dicts(self, monkeypatch, discrepancy, passed):
         def verifier(params, budget):
-            return dict(theoretical={}, empirical={}, discrepancy=discrepancy, tolerance={"a": 1.0, "b": 2.0})
+            return [], lambda: dict(theoretical={}, empirical={}, discrepancy=discrepancy, tolerance={"a": 1.0, "b": 2.0})
 
         monkeypatch.setitem(montecarlo._VERIFIERS, "lln", (verifier, {}))
         report = verify("lln", validate_params(1, False, 0.8, 0.3))
@@ -888,6 +888,25 @@ class TestVerify:
         params = validate_params(1, False, 0.6, 1.0)
         with pytest.raises(ValueError, match=r"1000 \* 80000000\^2 is not below 2\^62"):
             verify("clt-diffusive", params, VerifyBudget(n_steps=20_000_000, replicas=1_000))
+
+    def test_cross_time_first_step_below_one_fails_before_the_walks(self, no_walks):
+        # floor(0.001 * 500) = 0 is no step of a walk; both callers name the product, not a checkpoint range
+        params = validate_params(1, False, 0.6, 1.0)
+        message = r"^s \* n_scale = 0.001 \* 500 is below 1, the first step of a walk$"
+        with pytest.raises(ValueError, match=message):
+            cross_time_covariance(params, UNIFORM, 0.001, 4.0, 500, 1_000, seed=0)
+        with pytest.raises(ValueError, match=message):
+            verify("clt-diffusive", params, default_budget("clt-diffusive", cross_time=(0.001, 4.0, 500)))
+
+    @pytest.mark.parametrize("d, lazy, p", [(1, False, 0.6), (2, True, 0.4)])
+    def test_cross_time_gate_is_the_public_estimate(self, d, lazy, p):
+        # the cross-time ensemble walks at seed + 1 to 4 n, and both callers share one estimator
+        params = validate_params(d, lazy, p, 1.0)
+        n, R, seed = 200, 1_000, 17
+        report = verify("clt-diffusive", params, VerifyBudget(n_steps=n, replicas=R, seed=seed))
+        want = cross_time_covariance(params, UNIFORM, 1.0, 4.0, n, R, seed + 1)
+        got = report.empirical["cross_time"]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_clt_diffusive_replica_floor_before_the_walks(self, no_walks):
         params = validate_params(1, False, 0.6, 1.0)

@@ -30,16 +30,12 @@ KNOWN_RED = "tests/test_acceptance.py::test_criterion_09_limit_moments"
 MC, THEORY, ORACLE = "src/memwalk/montecarlo.py", "src/memwalk/theory.py", "src/memwalk/oracle.py"
 VERIFY_TESTS = ("tests/test_montecarlo.py::TestVerify",)
 KERNEL_TESTS = ("tests/test_montecarlo.py::TestKernelReference",)
-# clt-diffusive's two ensembles, in the order it walks them
-CROSS_TIME_RUN = """    cross_emp = cross_time_covariance(
-        params, budget.init, s_time, t_time, n_scale, R, budget.seed + 1, workers=budget.workers
-    )
-    cross_rel = _rel(cross_emp, cross_th)
-"""
-N_STEPS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers, retain_samples=True)\n"
-# moments' theory reference and its one ensemble, in the order it reads them
+# clt-diffusive's two planned ensembles, in the order verify walks them
+CROSS_TIME_RUN = "(budget.seed + 1, nt, [ns, nt], True)"
+N_STEPS_RUN = "(budget.seed, n, [n], True)"
+# moments' theory reference, read before verify walks, and its gates, read after
 MOMENTS_LIMIT = "    limit = theory.limit_moments(params, budget.init)\n"
-MOMENTS_RUN = "    summary = run_ensemble(params, budget.init, n, [n], R, budget.seed, workers=budget.workers)\n"
+MOMENTS_GATES = "\n    def gates(summary):\n        cp = summary.at(n)\n"
 # one step of the moment recursion: the row at a mark is kept before the advance
 MARK_ROW = """        if n == mark:
             coef[i] = c, e, wb, wp, wbb, wbp, wpp
@@ -69,6 +65,10 @@ MUTANTS = [
            "r_first, r_last = ratios[max(ratios)], ratios[min(ratios)]", VERIFY_TESTS),
     Mutant("rel-max-th", MC, "np.max(np.abs(th))", "np.max(th)", VERIFY_TESTS),
     Mutant("verdict-strict", MC, "np.less_equal(v, found", "np.less(v, found", VERIFY_TESTS),
+    # verify walks the planned ensembles
+    Mutant("verify-one-seed", MC, "marks, budget.replicas, seed,", "marks, budget.replicas, budget.seed,",
+           VERIFY_TESTS),
+    Mutant("verify-no-retain", MC, "retain_samples=retain)", "retain_samples=False)", VERIFY_TESTS),
     Mutant("scaling-one-decade", MC, "if max(marks) < 100 * min(marks):", "if max(marks) < 10 * min(marks):",
            VERIFY_TESTS),
     Mutant("json-null-isnan", MC, "not np.isfinite(obj)", "np.isnan(obj)", ("tests/test_cli.py",)),
@@ -80,10 +80,10 @@ MUTANTS = [
     # the int64 bound, checked before any walk
     Mutant("int64-bound", MC, "marks[-1] ** 2 >= 2**62", "marks[-1] ** 2 >= 2**63",
            ("tests/test_montecarlo.py::TestRunEnsemble::test_int64_bound_at_its_first_failing_size",)),
-    Mutant("clt-diffusive-larger-first", MC, CROSS_TIME_RUN + "\n" + N_STEPS_RUN, N_STEPS_RUN + CROSS_TIME_RUN + "\n",
+    Mutant("clt-diffusive-larger-first", MC, f"[{CROSS_TIME_RUN}, {N_STEPS_RUN}]", f"[{N_STEPS_RUN}, {CROSS_TIME_RUN}]",
            ("tests/test_montecarlo.py::TestVerify::test_clt_diffusive_oversize_fails_before_the_walks",)),
     # each verifier reads its theory reference, whose domain is the tag's regime, before any walk
-    Mutant("moments-limit-after-walk", MC, MOMENTS_LIMIT + MOMENTS_RUN, MOMENTS_RUN + MOMENTS_LIMIT,
+    Mutant("moments-limit-after-walk", MC, MOMENTS_LIMIT + MOMENTS_GATES, MOMENTS_GATES + "    " + MOMENTS_LIMIT,
            ("tests/test_montecarlo.py::TestVerify::test_regime_fails_before_the_walks",)),
     Mutant("moments-mean-from-table", MC, "theory._moments_at(params, budget.init, [n]).mean_position[0]",
            "theory.exact_moments(params, budget.init, n).mean_position[-1]",
