@@ -84,6 +84,21 @@ def validate_params(d: int, lazy: bool, p: float, theta: float) -> ModelParams:
     return ModelParams(d=d, lazy=bool(lazy), p=float(p), theta=float(theta))
 
 
+def counts_to_position(counts) -> np.ndarray:
+    """Signed pairing of the counts on the last axis: (N_0 - N_1, N_2 - N_3, ...).
+
+    K counts pair into d = K // 2 coordinates; a trailing stay-put count is not read.
+    """
+    counts = np.asarray(counts)
+    d = counts.shape[-1] // 2
+    return counts[..., 0 : 2 * d : 2] - counts[..., 1 : 2 * d : 2]
+
+
+def pairing_matrix(K: int) -> np.ndarray:
+    """d x K projection from counts to position: row i is e_{2i} - e_{2i+1}, the stay-put column zero."""
+    return np.ascontiguousarray(counts_to_position(np.eye(K)).T)
+
+
 @dataclass(slots=True)
 class WalkState:
     """State after n steps: the per-direction counts, which sum to n."""
@@ -94,10 +109,7 @@ class WalkState:
     @property
     def position(self) -> np.ndarray:
         """Signed pairing of the counts (counts[0] - counts[1], ...)."""
-        from .urn import counts_to_position
-
-        K = self.counts.shape[-1]
-        return counts_to_position(self.counts, K // 2, K % 2 == 1)
+        return counts_to_position(self.counts)
 
 
 @dataclass(frozen=True)

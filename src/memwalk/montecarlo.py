@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import theory, urn
-from .model import InitialSpec, ModelParams, _checkpoint_marks, base_step_rates
+from . import theory
+from .model import InitialSpec, ModelParams, _checkpoint_marks, base_step_rates, counts_to_position
 from .theory import Regime
 
 _MASK64 = (1 << 64) - 1
@@ -265,7 +265,7 @@ def _simulate_block(
                     greater_equal(acc, u, hit)
                 add(last_row, hit, last_row)
             counts = np.diff(cum, axis=0, prepend=0.0, append=float(mark))
-            pos = urn.counts_to_position(counts.T, d, params.lazy).astype(np.int64)
+            pos = counts_to_position(counts.T).astype(np.int64)
             sum_x[ci] += pos.sum(axis=0)
             sum_xx[ci] += pos.T @ pos
             if samples is not None:
@@ -311,6 +311,19 @@ def _drop_pool() -> None:
     _pool = None
 
 
+def _check_run(replicas: int, workers: int, n_steps: int, checkpoints) -> list[int]:
+    """The marks of a run, after the checks that ``run_ensemble`` makes before any walk."""
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas for a sample covariance")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    marks = _checkpoint_marks(n_steps, checkpoints)
+    if replicas * marks[-1] ** 2 >= 2**62:
+        size = f"{replicas} * {marks[-1]}^2"
+        raise ValueError(f"replicas * n_steps^2 = {size} is not below 2^62, the limit of exact int64 sums")
+    return marks
+
+
 def run_ensemble(
     params: ModelParams,
     init: InitialSpec,
@@ -327,14 +340,7 @@ def run_ensemble(
     ``workers``, which is capped at the usable CPU count. The walks stop
     at the last checkpoint, or at n_steps when the list is empty.
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas for a sample covariance")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    marks = _checkpoint_marks(n_steps, checkpoints)
-    if replicas * marks[-1] ** 2 >= 2**62:
-        size = f"{replicas} * {marks[-1]}^2"
-        raise ValueError(f"replicas * n_steps^2 = {size} is not below 2^62, the limit of exact int64 sums")
+    marks = _check_run(replicas, workers, n_steps, checkpoints)
     workers = _process_count(workers, replicas, _usable_cpus())
     bounds = np.linspace(0, replicas, workers + 1, dtype=int)
     tasks = list(zip(bounds, bounds[1:]))
@@ -610,7 +616,6 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget):
                        "cross_time_rel": _TOLERANCE_CROSS_TIME},
         )
 
-    # cross-time first: at the default cross_time it is the larger, so the int64 bound fails before any walk
     return [(budget.seed + 1, nt, [ns, nt], True), (budget.seed, n, [n], True)], gates
 
 
@@ -711,6 +716,8 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
         "init": budget.init.kind,
     }
     ensembles, gates = _VERIFIERS[tag][0](params, budget)
+    for _, n, marks, _ in ensembles:  # every planned walk is checked before the first
+        _check_run(budget.replicas, budget.workers, n, marks)
     summaries = [run_ensemble(params, budget.init, n, marks, budget.replicas, seed, workers=budget.workers,
                               retain_samples=retain) for seed, n, marks, retain in ensembles]
     found = gates(*summaries)

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import urn
-from .model import InitialSpec, ModelParams, WalkState, conditional_law
+from .model import InitialSpec, ModelParams, WalkState, conditional_law, counts_to_position
 
 #: Hard ceiling on the number of paths, or of count vectors, a pass visits.
 MAX_PATHS = 10_000_000
@@ -60,6 +60,7 @@ def _count_law(params: ModelParams, init: InitialSpec, n: int, kernel) -> tuple[
     each sum in the order of the children.
     """
     K = params.K
+    _check_size(n, math.comb(n + K, K))
     unit = np.eye(K, dtype=np.int64)
     states, probs = unit, init.distribution(params)
     for m in range(1, n):
@@ -106,10 +107,9 @@ class ExactMarginals:
 
 def exact_marginals(params: ModelParams, init: InitialSpec, n: int) -> ExactMarginals:
     """Exact E(S_n), Cov(S_n) and expected moves per axis from the count law."""
-    K, d = params.K, params.d
-    _check_size(n, math.comb(n + K, K))
+    d = params.d
     states, probs = _count_law(params, init, n, _walk_kernel(params))
-    pos = urn.counts_to_position(states, d, params.lazy).astype(float)
+    pos = counts_to_position(states).astype(float)
     mean = probs @ pos
     centred = pos - mean
     cov = (centred.T * probs) @ centred
@@ -122,7 +122,6 @@ def exact_marginals(params: ModelParams, init: InitialSpec, n: int) -> ExactMarg
 
 def walk_count_law(params: ModelParams, init: InitialSpec, n: int) -> dict[tuple[int, ...], float]:
     """Exact law of the count vector after n steps."""
-    _check_size(n, math.comb(n + params.K, params.K))
     return _as_dict(*_count_law(params, init, n, _walk_kernel(params)))
 
 
@@ -134,7 +133,6 @@ def urn_count_law(params: ModelParams, init: InitialSpec, n: int) -> dict[tuple[
     probability N_j/m and adding by column j of the mean replacement
     matrix A gives the added colour the law A N / m.
     """
-    _check_size(n, math.comb(n + params.K, params.K))
     A = urn.mean_replacement_matrix(params)
     return _as_dict(*_count_law(params, init, n, lambda states, m: states @ A.T / m))
 

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import urn
-from .model import InitialSpec, ModelParams, base_step_rates
+from .model import InitialSpec, ModelParams, base_step_rates, pairing_matrix
 
 #: Absolute tolerance on p - critical_probability used to call a
 #: parameter point critical. Callers wanting critical behaviour should
@@ -179,12 +179,12 @@ def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Cross-time covariance of the rescaled position, diffusive regime.
 
     E(W_s W_t^T) = s (t/s)^lam P C P^T with C = count_covariance_diffusive
-    and P = urn.pairing_matrix.
+    and P = model.pairing_matrix.
     """
     counts = count_covariance_diffusive(params)
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
-    proj = urn.pairing_matrix(params.d, params.lazy)
+    proj = pairing_matrix(params.K)
     return s * (t / s) ** params.second_eigenvalue * (proj @ counts @ proj.T)
 
 
@@ -192,12 +192,12 @@ def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Cross-time covariance of the rescaled position on the boundary.
 
     s P B0 P^T, constant in t, with B0 = count_covariance_critical and
-    P = urn.pairing_matrix; I_d / d at theta = 1.
+    P = model.pairing_matrix; I_d / d at theta = 1.
     """
     counts = count_covariance_critical(params)
     if not 0.0 < s <= t:
         raise ValueError("need 0 < s <= t")
-    proj = urn.pairing_matrix(params.d, params.lazy)
+    proj = pairing_matrix(params.K)
     return s * (proj @ counts @ proj.T)
 
 
@@ -366,7 +366,7 @@ def _moments_at(params: ModelParams, init: InitialSpec, marks) -> MomentTable:
     basis = np.stack([
         np.diag(b), np.diag(pi), np.outer(b, b), np.outer(b, pi) + np.outer(pi, b), np.outer(pi, pi),
     ])
-    return MomentTable(marks, coef, b, pi, basis, urn.pairing_matrix(params.d, params.lazy))
+    return MomentTable(marks, coef, b, pi, basis, pairing_matrix(params.K))
 
 
 def _drift_square_weight(r: float) -> float:
@@ -417,7 +417,7 @@ def limit_moments(params: ModelParams, init: InitialSpec) -> LimitMoments:
         + np.diag(w) - np.outer(v, w) - np.outer(w, v)
         - _drift_square_weight(r) * np.outer(w, w)
     ) / math.gamma(1.0 + 2.0 * r)
-    proj = urn.pairing_matrix(params.d, params.lazy)
+    proj = pairing_matrix(params.K)
     return LimitMoments(mean=np.zeros(params.d), second_moment=proj @ counts @ proj.T, n_final=0)
 
 

@@ -5,7 +5,7 @@ sampled from a j-specific replacement law. With the replacement laws
 below, the vector of ball counts has exactly the law of the walk's
 per-direction step counts, which makes the urn an independent second
 implementation of the same process. The walker's position is the signed
-pairing of the counts.
+pairing of the counts, ``model.counts_to_position``.
 """
 
 from __future__ import annotations
@@ -81,25 +81,3 @@ def urn_step(params: ModelParams, state: UrnState, rng: np.random.Generator) -> 
     balls = state.balls.copy()
     balls[added] = held[added] + 1
     return UrnState(n + 1, balls)
-
-
-def pairing_matrix(d: int, lazy: bool) -> np.ndarray:
-    """d x K projection from counts to position: row i is e_{2i} - e_{2i+1}.
-
-    The lazy column, when present, is ignored (zero column).
-    """
-    K = 2 * d + (1 if lazy else 0)
-    return np.ascontiguousarray(counts_to_position(np.eye(K), d, lazy).T)
-
-
-def counts_to_position(counts, d: int, lazy: bool) -> np.ndarray:
-    """Signed pairing of counts: (N_1 - N_2, N_3 - N_4, ...).
-
-    For odd K the trailing stay-put count does not contribute.
-    """
-    counts = np.asarray(counts)
-    K = 2 * d + (1 if lazy else 0)
-    if counts.shape[-1] != K:
-        raise ValueError(f"expected {K} counts, got {counts.shape[-1]}")
-    return counts[..., 0 : 2 * d : 2] - counts[..., 1 : 2 * d : 2]
-

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import chisquare_pvalue
-from memwalk import montecarlo, oracle, theory, urn
+from memwalk import model, montecarlo, oracle, theory
 from memwalk.model import InitialSpec, initial_step, step, validate_params
 from memwalk.montecarlo import (
     cross_time_covariance,
@@ -154,7 +154,7 @@ def test_criterion_06_diffusive_fclt(diffusive_ensemble):
         cand = validate_params(d, lazy, float(rng.uniform()), float(rng.uniform()))
         if theory.classify_regime(cand) not in (theory.Regime.DIFFUSIVE, theory.Regime.NO_TRANSITION):
             continue
-        proj = urn.pairing_matrix(cand.d, cand.lazy)
+        proj = model.pairing_matrix(cand.K)
         lhs = proj @ theory.count_covariance_diffusive(cand) @ proj.T
         worst_proj = max(worst_proj, float(np.abs(lhs - theory.diffusive_covariance(cand, 1.0, 1.0)).max()))
         checked += 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedUniform, chisquare_pvalue, histogram_pvalue, sampler_grid
-from memwalk import model, montecarlo, oracle, theory, urn
+from memwalk import model, montecarlo, oracle, theory
 from memwalk.model import (
     InitialSpec,
     ModelParams,
@@ -158,7 +158,7 @@ class TestConditionalLaw:
             params = validate_params(d, lazy, rng.uniform(), rng.uniform())
             state = random_state(params, int(rng.integers(1, 40)), rng)
             law = conditional_law(params, state)
-            drift = urn.pairing_matrix(params.d, params.lazy) @ law
+            drift = model.pairing_matrix(params.K) @ law
             expected = (params.second_eigenvalue / state.n) * state.position.astype(float)
             expected[0] += (1.0 - params.theta) * params.memory_gain
             assert np.allclose(drift, expected, atol=1e-12)
@@ -242,6 +242,20 @@ class TestFirstStepTable:
         for cuts, rows in tables:
             assert np.array_equal(rows, np.eye(len(cuts) + 1, dtype=np.int64))
 
+    def test_full_cache_is_emptied_before_a_new_table(self, monkeypatch):
+        monkeypatch.setattr(model, "_FIRST_STEP", {})
+        params = validate_params(1, False, 0.5, 0.5)
+        starts = [InitialSpec.custom([q, 1.0 - q]) for q in np.linspace(0.05, 0.95, model._TABLE_ENTRIES + 1)]
+        for init in starts[:-1]:
+            initial_step(params, init, np.random.default_rng(0))
+        assert len(model._FIRST_STEP) == model._TABLE_ENTRIES
+        last = starts[-1]
+        draws = [initial_step(params, last, np.random.default_rng(seed)).counts for seed in range(40)]
+        assert list(model._FIRST_STEP) == [("custom", None, last.probs, 1, False)]
+        monkeypatch.setattr(model, "_FIRST_STEP", {})
+        fresh = [initial_step(params, last, np.random.default_rng(seed)).counts for seed in range(40)]
+        assert np.array_equal(draws, fresh)
+
     def test_returned_counts_are_the_callers_own(self):
         params, init = validate_params(1, True, 0.5, 0.5), InitialSpec.fixed(1)
         state = initial_step(params, init, np.random.default_rng(0))
@@ -296,9 +310,7 @@ class TestStep:
             params = validate_params(d, lazy, rng.uniform(), rng.uniform())
             state = random_state(params, int(rng.integers(1, 60)), rng)
             assert int(state.counts.sum()) == state.n
-            assert np.array_equal(
-                state.position, urn.counts_to_position(state.counts, d, lazy)
-            )
+            assert np.array_equal(state.position, state.counts[0 : 2 * d : 2] - state.counts[1 : 2 * d : 2])
 
 
 class TestSimulate:
@@ -376,7 +388,7 @@ def position_law(params: ModelParams, count_law: dict) -> dict:
     """Law of S_n from the law of the count vector."""
     law: dict = {}
     for counts, prob in count_law.items():
-        key = tuple(urn.counts_to_position(counts, params.d, params.lazy).tolist())
+        key = tuple(model.counts_to_position(counts).tolist())
         law[key] = law.get(key, 0.0) + prob
     return law
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import chisquare_pvalue, subprocess_env
-from memwalk import montecarlo, oracle, theory, urn
+from memwalk import model, montecarlo, oracle, theory
 from memwalk.model import InitialSpec, ModelParams, base_step_rates, validate_params
 from memwalk.montecarlo import (
     VerifyBudget,
@@ -116,7 +116,7 @@ def assert_same_block(params, init, n_steps, marks, seed, lo, hi):
 def exact_position_law(params, init, n):
     """Law of the first coordinate of S_n over -n..n from the exact count law."""
     law = oracle.walk_count_law(params, init, n)
-    pos = urn.counts_to_position(np.array(list(law)), params.d, params.lazy)[:, 0]
+    pos = model.counts_to_position(np.array(list(law)))[:, 0]
     return np.bincount(pos + n, weights=np.array(list(law.values())), minlength=2 * n + 1)
 
 
@@ -457,6 +457,13 @@ class TestRunEnsemble:
         assert montecarlo._process_count(3, 100, 16) == 3
         assert montecarlo._process_count(0, 10, 4) == 1
         assert montecarlo._usable_cpus() >= 1
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
 
     def test_iid_mean_within_clt_band(self):
         params = validate_params(1, False, 0.7, 0.0)
@@ -888,6 +895,17 @@ class TestVerify:
         params = validate_params(1, False, 0.6, 1.0)
         with pytest.raises(ValueError, match=r"1000 \* 80000000\^2 is not below 2\^62"):
             verify("clt-diffusive", params, VerifyBudget(n_steps=20_000_000, replicas=1_000))
+
+    def test_every_planned_walk_is_checked_before_the_first(self, monkeypatch):
+        # the cross-time ensemble, walked first, is small; the n_steps one fails the int64 bound
+        def walk(*args):
+            raise AssertionError("an ensemble walked before every planned walk was checked")
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", walk)
+        params = validate_params(1, False, 0.6, 1.0)
+        budget = VerifyBudget(n_steps=80_000_000, replicas=1_000, cross_time=(1.0, 1.0, 100))
+        with pytest.raises(ValueError, match=r"1000 \* 80000000\^2 is not below 2\^62"):
+            verify("clt-diffusive", params, budget)
 
     def test_cross_time_first_step_below_one_fails_before_the_walks(self, no_walks):
         # floor(0.001 * 500) = 0 is no step of a walk; both callers name the product, not a checkpoint range

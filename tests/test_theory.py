@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, zeta
 
-from memwalk import oracle, theory, urn
+from memwalk import model, oracle, theory, urn
 from memwalk.model import InitialSpec, base_step_rates, validate_params
 from memwalk.theory import (
     Regime,
@@ -86,7 +86,7 @@ def eager_moment_tables(params, init, n_max):
     basis = np.stack([
         np.diag(b), np.diag(pi), np.outer(b, b), np.outer(b, pi) + np.outer(pi, b), np.outer(pi, pi),
     ])
-    proj = urn.pairing_matrix(params.d, params.lazy)
+    proj = model.pairing_matrix(params.K)
     mean_counts = np.outer(c, pi) + np.outer(e, b)
     return dict(
         steps=np.arange(1, n_max + 1),
@@ -245,7 +245,7 @@ class TestCountCovariances:
         for params in sample_grid(rng, 120):
             if classify_regime(params) not in (Regime.DIFFUSIVE, Regime.NO_TRANSITION):
                 continue
-            proj = urn.pairing_matrix(params.d, params.lazy)
+            proj = model.pairing_matrix(params.K)
             lhs = proj @ count_covariance_diffusive(params) @ proj.T
             rhs = diffusive_covariance(params, 1.0, 1.0)
             assert np.abs(lhs - rhs).max() < 1e-10
@@ -258,7 +258,7 @@ class TestCountCovariances:
             if pc > 1.0:
                 continue
             params = validate_params(K // 2, K % 2 == 1, pc, th)
-            proj = urn.pairing_matrix(params.d, params.lazy)
+            proj = model.pairing_matrix(params.K)
             lhs = proj @ count_covariance_critical(params) @ proj.T
             rhs = critical_covariance(params, 1.0, 1.0)
             assert np.abs(lhs - rhs).max() < 1e-10

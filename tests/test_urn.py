@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import FixedUniform, chisquare_pvalue, histogram_pvalue, sampler_grid
 from memwalk import oracle, theory, urn
-from memwalk.model import InitialSpec, initial_step, validate_params
+from memwalk.model import InitialSpec, counts_to_position, initial_step, pairing_matrix, validate_params
 from memwalk.urn import (
     UrnState,
-    counts_to_position,
     mean_replacement_matrix,
-    pairing_matrix,
     replacement_distribution,
     urn_step,
 )
@@ -135,6 +133,20 @@ class TestReplacementTables:
                 for params in grid]
         assert sorted(urn._REPLACEMENT.values()) == sorted(want)
 
+    def test_full_cache_is_emptied_before_a_new_table(self, monkeypatch):
+        monkeypatch.setattr(urn, "_REPLACEMENT", {})
+        grid = [validate_params(1, True, p, 0.7) for p in np.linspace(0.05, 0.95, urn._TABLE_ENTRIES + 1)]
+        state = UrnState(n=3, balls=np.array([1, 1, 1]))
+        for params in grid[:-1]:
+            urn_step(params, state, np.random.default_rng(0))
+        assert len(urn._REPLACEMENT) == urn._TABLE_ENTRIES
+        last = grid[-1]
+        draws = [urn_step(last, state, np.random.default_rng(seed)).balls for seed in range(40)]
+        assert list(urn._REPLACEMENT) == [(1, True, last.p, 0.7)]
+        monkeypatch.setattr(urn, "_REPLACEMENT", {})
+        fresh = [urn_step(last, state, np.random.default_rng(seed)).balls for seed in range(40)]
+        assert np.array_equal(draws, fresh)
+
 
 class TestUrnStep:
     def test_persistent_monochrome(self):
@@ -172,42 +184,35 @@ class TestUrnStep:
 
 class TestCountsToPosition:
     def test_even(self):
-        assert np.array_equal(counts_to_position([7, 3], 1, False), [4])
+        assert np.array_equal(counts_to_position([7, 3]), [4])
 
     def test_odd_ignores_delay(self):
-        assert np.array_equal(counts_to_position([2, 1, 0, 3, 4], 2, True), [1, -3])
+        assert np.array_equal(counts_to_position([2, 1, 0, 3, 4]), [1, -3])
 
     def test_zeros(self):
-        assert np.array_equal(counts_to_position(np.zeros(4, dtype=int), 2, False), [0, 0])
+        assert np.array_equal(counts_to_position(np.zeros(4, dtype=int)), [0, 0])
 
     def test_unit_moves(self):
         # each single move changes exactly one coordinate by one
         for idx, counts in enumerate(np.eye(6, dtype=int)):
-            vec = counts_to_position(counts, 3, False)
+            vec = counts_to_position(counts)
             assert np.abs(vec).sum() == 1 and vec[idx // 2] == (1 if idx % 2 == 0 else -1)
 
     def test_pairing_order(self):
         # moves are ordered (+e_1, -e_1, +e_2, -e_2, ...)
         moves = np.eye(4, dtype=int)
-        assert np.array_equal(counts_to_position(moves[0], 2, False), [1, 0])
-        assert np.array_equal(counts_to_position(moves[1], 2, False), [-1, 0])
-        assert np.array_equal(counts_to_position(moves[3], 2, False), [0, -1])
+        assert np.array_equal(counts_to_position(moves[0]), [1, 0])
+        assert np.array_equal(counts_to_position(moves[1]), [-1, 0])
+        assert np.array_equal(counts_to_position(moves[3]), [0, -1])
 
     def test_lazy_slot_is_zero(self):
-        assert np.array_equal(counts_to_position(np.eye(5, dtype=int)[4], 2, True), [0, 0])
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            counts_to_position([1, 0, 0], 1, False)
+        assert np.array_equal(counts_to_position(np.eye(5, dtype=int)[4]), [0, 0])
 
     def test_pairing_matrix_agrees(self):
         rng = np.random.default_rng(1)
-        for d, lazy in [(1, False), (1, True), (3, False), (2, True)]:
-            K = 2 * d + (1 if lazy else 0)
+        for K in (2, 3, 6, 5):
             counts = rng.integers(0, 10, size=K)
-            assert np.allclose(
-                pairing_matrix(d, lazy) @ counts, counts_to_position(counts, d, lazy)
-            )
+            assert np.allclose(pairing_matrix(K) @ counts, counts_to_position(counts))
 
 
 class TestWalkEquivalence:

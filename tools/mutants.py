@@ -30,9 +30,6 @@ KNOWN_RED = "tests/test_acceptance.py::test_criterion_09_limit_moments"
 MC, THEORY, ORACLE = "src/memwalk/montecarlo.py", "src/memwalk/theory.py", "src/memwalk/oracle.py"
 VERIFY_TESTS = ("tests/test_montecarlo.py::TestVerify",)
 KERNEL_TESTS = ("tests/test_montecarlo.py::TestKernelReference",)
-# clt-diffusive's two planned ensembles, in the order verify walks them
-CROSS_TIME_RUN = "(budget.seed + 1, nt, [ns, nt], True)"
-N_STEPS_RUN = "(budget.seed, n, [n], True)"
 # moments' theory reference, read before verify walks, and its gates, read after
 MOMENTS_LIMIT = "    limit = theory.limit_moments(params, budget.init)\n"
 MOMENTS_GATES = "\n    def gates(summary):\n        cp = summary.at(n)\n"
@@ -80,8 +77,10 @@ MUTANTS = [
     # the int64 bound, checked before any walk
     Mutant("int64-bound", MC, "marks[-1] ** 2 >= 2**62", "marks[-1] ** 2 >= 2**63",
            ("tests/test_montecarlo.py::TestRunEnsemble::test_int64_bound_at_its_first_failing_size",)),
-    Mutant("clt-diffusive-larger-first", MC, f"[{CROSS_TIME_RUN}, {N_STEPS_RUN}]", f"[{N_STEPS_RUN}, {CROSS_TIME_RUN}]",
-           ("tests/test_montecarlo.py::TestVerify::test_clt_diffusive_oversize_fails_before_the_walks",)),
+    Mutant("verify-plan-unchecked", MC,
+           "    for _, n, marks, _ in ensembles:  # every planned walk is checked before the first\n"
+           "        _check_run(budget.replicas, budget.workers, n, marks)\n", "",
+           ("tests/test_montecarlo.py::TestVerify::test_every_planned_walk_is_checked_before_the_first",)),
     # each verifier reads its theory reference, whose domain is the tag's regime, before any walk
     Mutant("moments-limit-after-walk", MC, MOMENTS_LIMIT + MOMENTS_GATES, MOMENTS_GATES + "    " + MOMENTS_LIMIT,
            ("tests/test_montecarlo.py::TestVerify::test_regime_fails_before_the_walks",)),
@@ -118,6 +117,8 @@ MUTANTS = [
     Mutant("cuts-keep-last-sum", "src/memwalk/model.py", "np.cumsum(law)[:-1]", "np.cumsum(law)",
            ("tests/test_model.py::TestReferenceSampler::test_clip_when_first_step_law_sums_below_one",
             "tests/test_urn.py::TestReferenceSampler::test_clip_at_the_largest_uniform")),
+    Mutant("pairing-reads-stay-put", "src/memwalk/model.py", "d = counts.shape[-1] // 2",
+           "d = (counts.shape[-1] + 1) // 2", ("tests/test_urn.py::TestCountsToPosition",)),
     Mutant("urn-table-key-no-theta", "src/memwalk/urn.py", "key = (params.d, params.lazy, params.p, params.theta)",
            "key = (params.d, params.lazy, params.p)", ("tests/test_urn.py::TestReplacementTables",)),
     # the moment engine and the limit
