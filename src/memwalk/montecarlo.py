@@ -13,7 +13,7 @@ workers, because moment accumulators are exact integer sums, and no matter
 how a worker splits its block into tiles. A tile runs _TILE_UNIT * (6K - 8)
 replicas together (at most _TILE_MAX), with uniforms drawn _CHUNK steps at
 a time, so a process holds at most one _CHUNK x _TILE_MAX float64 buffer
-(56 MiB; 16 MiB at K = 2) and one refill block of at most _REFILL_BLOCK x
+(28 MiB; 8 MiB at K = 2) and one refill block of at most _REFILL_BLOCK x
 _CHUNK float64 (128 KiB), whatever the replica count. Pooled calls
 share one worker pool per process, forked by the first such call and kept
 until exit, so module state patched after that fork does not reach it.
@@ -40,14 +40,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 #: Steps of uniforms drawn per refill of the buffer.
-_CHUNK = 1024
+_CHUNK = 512
 #: A tile runs _TILE_UNIT * (6K - 8) replicas together, at most _TILE_MAX.
 _TILE_UNIT = 512
 _TILE_MAX = 7_168
 #: Replicas drawn together before their uniforms are transposed into the buffer,
-#: at a full chunk: 16 x _CHUNK float64 is 128 KiB, which stays in L2 while it
+#: at a full chunk: 32 x _CHUNK float64 is 128 KiB, which stays in L2 while it
 #: is transposed. A shorter chunk fits more replicas in the same bytes.
-_REFILL_BLOCK = 16
+_REFILL_BLOCK = 32
 #: Gate, in standard errors, of every per-scalar check in the verifiers.
 _TOLERANCE_SE = 4.0
 #: The other gates: clt-diffusive's cross-time and clt-critical's ratios,
@@ -179,9 +179,9 @@ def _simulate_block(
     step reads one contiguous row. A refill draws the chunks of
     _REFILL_BLOCK * _CHUNK // chunk replicas at a time (capped by the tile
     width) into rows and transposes them into the buffer, which misses the
-    cache far less than writing each replica's column in turn: 16 replicas
-    at the full 1 024-step chunk, 32 at 500 steps. The buffer is
-    min(n, _CHUNK) x width float64, at most 16 MiB at K = 2 and 56 MiB at
+    cache far less than writing each replica's column in turn: 32 replicas
+    at the full 512-step chunk, 65 at 250 steps. The buffer is
+    min(n, _CHUNK) x width float64, at most 8 MiB at K = 2 and 28 MiB at
     any K; the refill block is at most 128 KiB whatever the chunk, so that
     it stays in L2 between the draws and the transpose that reads it back.
     The step loop's row views, ufuncs and operands are bound once per

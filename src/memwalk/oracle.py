@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import urn
-from .model import InitialSpec, ModelParams, WalkState, conditional_law, counts_to_position
+from .model import InitialSpec, ModelParams, WalkState, conditional_law, counts_to_position, pairing_matrix
 
 #: Hard ceiling on the number of paths, or of count vectors, a pass visits.
 MAX_PATHS = 10_000_000
@@ -107,7 +107,6 @@ class ExactMarginals:
 
 def exact_marginals(params: ModelParams, init: InitialSpec, n: int) -> ExactMarginals:
     """Exact E(S_n), Cov(S_n) and expected moves per axis from the count law."""
-    d = params.d
     states, probs = _count_law(params, init, n, _walk_kernel(params))
     pos = counts_to_position(states).astype(float)
     mean = probs @ pos
@@ -116,7 +115,7 @@ def exact_marginals(params: ModelParams, init: InitialSpec, n: int) -> ExactMarg
     return ExactMarginals(
         mean_position=mean,
         position_cov=0.5 * (cov + cov.T),
-        mean_axis_counts=probs @ (states[:, 0 : 2 * d : 2] + states[:, 1 : 2 * d : 2]),
+        mean_axis_counts=probs @ (states @ np.abs(pairing_matrix(params.K)).T),
     )
 
 

@@ -151,8 +151,9 @@ class TestKernelReference:
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_matches_reference_over_refill_blocks(self, K):
-        # four full refill blocks and a partial fifth
-        hi = 3 + 2 * montecarlo._REFILL_BLOCK + 41
+        # four full refill blocks and a partial fifth of the 200-step chunk
+        rows = montecarlo._REFILL_BLOCK * montecarlo._CHUNK // 200
+        hi = 3 + 4 * rows + 41
         params = validate_params(K // 2, K % 2 == 1, 0.2, 0.3)
         assert_same_block(params, InitialSpec.fixed(K - 1), 200, [1, 199, 200], 13, 3, hi)
 
@@ -389,17 +390,20 @@ class TestRunEnsemble:
         summary = run_ensemble(params, UNIFORM, 25, [], 8, seed=0)
         assert [cp.n for cp in summary.checkpoints] == [25]
 
-    def test_buffer_does_not_grow_with_replicas(self):
-        # numpy reports its buffers to tracemalloc; a uniform buffer spanning
-        # all 20 000 replicas would pass 24 MiB from 158 buffered steps on
-        params = validate_params(1, False, 0.7, 0.6)
+    @pytest.mark.parametrize("d, lazy, replicas, n, mib", [(1, False, 20_000, 1_500, 10), (2, True, 7_168, 1_100, 34)])
+    def test_buffer_does_not_grow_with_replicas(self, d, lazy, replicas, n, mib):
+        # numpy reports its buffers to tracemalloc. The uniform buffer is
+        # _CHUNK x tile width float64, 8 MiB at K = 2 (2 048 wide) and 28 MiB
+        # at K = 5 (7 168 wide); a buffer spanning all 20 000 replicas, or a
+        # 1 024-step chunk, would exceed the bound
+        params = validate_params(d, lazy, 0.7, 0.6)
         tracemalloc.start()
         try:
-            run_ensemble(params, UNIFORM, 1_500, [1_500], 20_000, seed=3)
+            run_ensemble(params, UNIFORM, n, [n], replicas, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20, peak / 2**20
+        assert peak < mib * 2**20, peak / 2**20
 
     def test_deterministic_persistent_walk(self):
         params = validate_params(1, False, 1.0, 1.0)

@@ -106,6 +106,8 @@ MUTANTS = [
            "np.greater(acc, u, hit)\n                for row", ("tests/test_montecarlo.py::TestTieRule",)),
     Mutant("refill-block-rows-off-by-one", MC, "for r0 in range(0, w, rows):", "for r0 in range(0, w, rows + 1):",
            ("tests/test_montecarlo.py::TestKernelReference::test_matches_reference_over_byte_sized_refill_blocks",)),
+    Mutant("chunk-1024", MC, "_CHUNK = 512", "_CHUNK = 1024",
+           ("tests/test_montecarlo.py::TestRunEnsemble::test_buffer_does_not_grow_with_replicas",)),
     Mutant("seed-source-row-twice", MC, "self.rows = iter(words)", "self.rows = iter(np.repeat(words, 2, axis=0))",
            ("tests/test_montecarlo.py::TestReplicaStreams::test_one_seed_source_over_adjacent_tiles",)),
     Mutant("step-skip-rule", "src/memwalk/model.py", "idx += idx >= remembered", "idx += idx > remembered",
