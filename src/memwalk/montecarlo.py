@@ -13,8 +13,8 @@ workers, because moment accumulators are exact integer sums, and no matter
 how a worker splits its block into tiles. A tile runs _TILE_UNIT * (6K - 8)
 replicas together (at most _TILE_MAX), with uniforms drawn _CHUNK steps at
 a time, so a process holds at most one _CHUNK x _TILE_MAX float64 buffer
-(28 MiB; 8 MiB at K = 2) and one refill block of at most _REFILL_BLOCK x
-_CHUNK float64 (128 KiB), whatever the replica count. Pooled calls
+(28 MiB; 8 MiB at K = 2) and one refill block of at most _REFILL_DOUBLES
+float64 (128 KiB), whatever the replica count. Pooled calls
 share one worker pool per process, forked by the first such call and kept
 until exit, so module state patched after that fork does not reach it.
 Each worker ends when the process that made it ends, killed or not.
@@ -44,10 +44,9 @@ _CHUNK = 512
 #: A tile runs _TILE_UNIT * (6K - 8) replicas together, at most _TILE_MAX.
 _TILE_UNIT = 512
 _TILE_MAX = 7_168
-#: Replicas drawn together before their uniforms are transposed into the buffer,
-#: at a full chunk: 32 x _CHUNK float64 is 128 KiB, which stays in L2 while it
-#: is transposed. A shorter chunk fits more replicas in the same bytes.
-_REFILL_BLOCK = 32
+#: Uniforms in a refill block, 128 KiB of float64, which stays in L2 while it is
+#: transposed into the buffer: _REFILL_DOUBLES // chunk replicas are drawn together.
+_REFILL_DOUBLES = 16_384
 #: Gate, in standard errors, of every per-scalar check in the verifiers.
 _TOLERANCE_SE = 4.0
 #: The other gates: clt-diffusive's cross-time and clt-critical's ratios,
@@ -177,7 +176,7 @@ def _simulate_block(
     Each replica consumes exactly one uniform per step from its own
     generator, buffered in chunks of _CHUNK steps, step-major so that a
     step reads one contiguous row. A refill draws the chunks of
-    _REFILL_BLOCK * _CHUNK // chunk replicas at a time (capped by the tile
+    _REFILL_DOUBLES // chunk replicas at a time (capped by the tile
     width) into rows and transposes them into the buffer, which misses the
     cache far less than writing each replica's column in turn: 32 replicas
     at the full 512-step chunk, 65 at 250 steps. The buffer is
@@ -213,7 +212,7 @@ def _simulate_block(
     width = -(-nrep // tiles)
     chunk = min(marks[-1], _CHUNK)
     buf = np.empty((chunk, width))
-    block = np.empty((min(width, _REFILL_BLOCK * _CHUNK // chunk), chunk))
+    block = np.empty((min(width, _REFILL_DOUBLES // chunk), chunk))
     # 0-d array operands: a Python float or numpy scalar is converted on every ufunc call
     base = [np.array(b) for b in base_step_rates(params)]
     base0, lam2 = base[0], params.second_eigenvalue
@@ -284,7 +283,7 @@ def _usable_cpus() -> int:
 
 def _process_count(workers: int, replicas: int, cpus: int) -> int:
     """Worker processes to start: the request, capped by replicas and CPUs."""
-    return max(1, min(int(workers), replicas, cpus))
+    return min(int(workers), replicas, cpus)
 
 
 _pool = None  # (pid that made it, workers, executor): the process's one worker pool
@@ -426,9 +425,7 @@ def cross_time_covariance(
     workers: int = 1,
 ) -> np.ndarray:
     """Empirical Cov(S_(s*n), S_(t*n)) / n at n = n_scale, diffusive regime."""
-    if not 0.0 < s <= t:
-        raise ValueError("need 0 < s <= t")
-    theory._require_regime(params, theory._DIFFUSIVE_REGIMES, "the cross-time covariance")
+    theory.diffusive_covariance(params, s, t)  # its domain, before any walk
     ns, nt = _cross_time_marks(s, t, n_scale)
     summary = run_ensemble(params, init, nt, [ns, nt], replicas, seed, workers=workers, retain_samples=True)
     return _cross_time_estimate(summary.samples[ns], summary.samples[nt], n_scale)

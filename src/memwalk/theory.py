@@ -175,17 +175,21 @@ def count_covariance_critical(params: ModelParams) -> np.ndarray:
     return _forcing(params)[1]
 
 
+def _position_covariance(counts: np.ndarray, s: float, t: float, growth: float) -> np.ndarray:
+    """s (t/s)^growth P C P^T, P = model.pairing_matrix: both functional limits, growth 0 on the boundary."""
+    if not 0.0 < s <= t:
+        raise ValueError("need 0 < s <= t")
+    proj = pairing_matrix(len(counts))
+    return s * (t / s) ** growth * (proj @ counts @ proj.T)
+
+
 def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Cross-time covariance of the rescaled position, diffusive regime.
 
     E(W_s W_t^T) = s (t/s)^lam P C P^T with C = count_covariance_diffusive
     and P = model.pairing_matrix.
     """
-    counts = count_covariance_diffusive(params)
-    if not 0.0 < s <= t:
-        raise ValueError("need 0 < s <= t")
-    proj = pairing_matrix(params.K)
-    return s * (t / s) ** params.second_eigenvalue * (proj @ counts @ proj.T)
+    return _position_covariance(count_covariance_diffusive(params), s, t, params.second_eigenvalue)
 
 
 def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
@@ -194,11 +198,7 @@ def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     s P B0 P^T, constant in t, with B0 = count_covariance_critical and
     P = model.pairing_matrix; I_d / d at theta = 1.
     """
-    counts = count_covariance_critical(params)
-    if not 0.0 < s <= t:
-        raise ValueError("need 0 < s <= t")
-    proj = pairing_matrix(params.K)
-    return s * (proj @ counts @ proj.T)
+    return _position_covariance(count_covariance_critical(params), s, t, 0.0)
 
 
 def martingale_coefficients(params: ModelParams, n: int) -> np.ndarray:
@@ -239,8 +239,6 @@ def _square_series(rate: float) -> float:
     fixed-term truncation would need ~1e10 terms near rate = 1 for a
     1e-10 tolerance.
     """
-    if 2.0 * rate <= 1.0:
-        raise RegimeMismatchError("squared weight series diverges unless 2*rate > 1")
     k = np.arange(1, _LIMIT_HEAD, dtype=float)
     factors = np.ones(_LIMIT_HEAD)
     factors[1:] = (k / (k + rate)) ** 2
@@ -256,10 +254,10 @@ def _square_series(rate: float) -> float:
 def martingale_square_series(params: ModelParams) -> float:
     """Sum of the squared martingale weights, sum_{k>=1} a_k^2.
 
-    Finite exactly in the superdiffusive regime (2r > 1 with
-    r = second_eigenvalue); equals the hypergeometric value
-    3F2(1, 1, 1; r+1, r+1; 1).
+    Finite exactly in the superdiffusive regime, 2r > 1 with r = second_eigenvalue, where it
+    equals 3F2(1, 1, 1; r+1, r+1; 1); _require_regime refuses every other point.
     """
+    _require_regime(params, (Regime.SUPERDIFFUSIVE,), "the squared weight series")
     return _square_series(params.second_eigenvalue)
 
 

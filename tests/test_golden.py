@@ -21,7 +21,8 @@ from memwalk.cli import main
 MADE_WITH = "Python 3.11.7, numpy 2.4.6"
 
 GOLDEN = [
-    # K = 2 marks on both sides of the 1 024-step refill; lazy d = 2 (K = 5) back-to-back marks
+    # K = 2 marks 1 024 and 1 025 straddle the second refill of the 512-step chunk;
+    # lazy d = 2 (K = 5) back-to-back marks
     ("simulate --d 1 --theta 1 --p 0.75 --steps 3000 --checkpoints 1,1024,1025,3000 --reps 300 --seed 3",
      0, "2394422907d3d6936bdd63be6fb20771b7f99e11a155ebcfe76d6f3af97bafcc"),
     ("simulate --d 2 --lazy --theta 0.8 --p 0.5 --steps 700 --checkpoints 1,2,3,700 --reps 300 --seed 5",

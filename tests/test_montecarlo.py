@@ -152,7 +152,7 @@ class TestKernelReference:
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_matches_reference_over_refill_blocks(self, K):
         # four full refill blocks and a partial fifth of the 200-step chunk
-        rows = montecarlo._REFILL_BLOCK * montecarlo._CHUNK // 200
+        rows = montecarlo._REFILL_DOUBLES // 200
         hi = 3 + 4 * rows + 41
         params = validate_params(K // 2, K % 2 == 1, 0.2, 0.3)
         assert_same_block(params, InitialSpec.fixed(K - 1), 200, [1, 199, 200], 13, 3, hi)
@@ -161,7 +161,7 @@ class TestKernelReference:
     def test_matches_reference_over_refill_blocks_across_refill(self, K):
         # two full refill blocks and a partial third, each drawn again at step _CHUNK + 1
         n = montecarlo._CHUNK + 50
-        hi = 3 + 2 * montecarlo._REFILL_BLOCK + 5
+        hi = 3 + 2 * (montecarlo._REFILL_DOUBLES // montecarlo._CHUNK) + 5
         params = validate_params(K // 2, K % 2 == 1, 0.85, 0.7)
         assert_same_block(params, UNIFORM, n, [1, montecarlo._CHUNK, n], 31, 3, hi)
 
@@ -170,7 +170,7 @@ class TestKernelReference:
         # a walk below _CHUNK steps has a shorter chunk, so a refill block of the
         # same bytes holds more replicas: two full blocks and a partial third
         n = montecarlo._CHUNK // 4
-        rows = montecarlo._REFILL_BLOCK * montecarlo._CHUNK // n
+        rows = montecarlo._REFILL_DOUBLES // n
         params = validate_params(K // 2, K % 2 == 1, 0.85, 0.7)
         assert_same_block(params, UNIFORM, n, [1, n // 2, n], 37, 6, 6 + 2 * rows + 9)
 
@@ -394,8 +394,9 @@ class TestRunEnsemble:
     def test_buffer_does_not_grow_with_replicas(self, d, lazy, replicas, n, mib):
         # numpy reports its buffers to tracemalloc. The uniform buffer is
         # _CHUNK x tile width float64, 8 MiB at K = 2 (2 048 wide) and 28 MiB
-        # at K = 5 (7 168 wide); a buffer spanning all 20 000 replicas, or a
-        # 1 024-step chunk, would exceed the bound
+        # at K = 5 (7 168 wide); a buffer spanning all 20 000 replicas, or the
+        # 1 024-step chunk of the chunk-1024 mutant in tools/mutants.py, would
+        # exceed the bound
         params = validate_params(d, lazy, 0.7, 0.6)
         tracemalloc.start()
         try:
@@ -459,7 +460,6 @@ class TestRunEnsemble:
         assert montecarlo._process_count(1_000, 50, 2) == 2
         assert montecarlo._process_count(8, 3, 16) == 3
         assert montecarlo._process_count(3, 100, 16) == 3
-        assert montecarlo._process_count(0, 10, 4) == 1
         assert montecarlo._usable_cpus() >= 1
 
     def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
@@ -653,6 +653,20 @@ class TestCrossTime:
         params = validate_params(1, False, 0.9, 1.0)
         with pytest.raises(RegimeMismatchError):
             cross_time_covariance(params, UNIFORM, 1.0, 2.0, 100, 10, seed=0)
+
+    @pytest.mark.parametrize("p, s, t, error, message", [
+        (0.9, 1.0, 2.0, RegimeMismatchError,
+         "the diffusive covariance needs a diffusive or no-transition point, got superdiffusive"),
+        (0.6, 2.0, 1.0, ValueError, "need 0 < s <= t"),
+    ])
+    def test_domain_fails_before_the_walk(self, monkeypatch, p, s, t, error, message):
+        # the domain is theory.diffusive_covariance's, read before any walk
+        def fail(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the domain was checked")
+
+        monkeypatch.setattr(montecarlo, "run_ensemble", fail)
+        with pytest.raises(error, match=f"^{message}$"):
+            cross_time_covariance(validate_params(1, False, p, 1.0), UNIFORM, s, t, 100, 10, seed=0)
 
     @pytest.mark.parametrize("s, t", [(0.0, 1.0), (2.0, 1.0)])
     def test_times_out_of_order_rejected(self, s, t):

@@ -447,9 +447,21 @@ class TestSquareSeries:
     def test_matches_hypergeometric_value(self, r, value):
         assert abs(theory._square_series(r) / value - 1.0) < 1e-13
 
+    REFUSED = "^the squared weight series needs a superdiffusive point, got {}$"
+
     def test_divergent_rejected(self):
-        with pytest.raises(RegimeMismatchError):
+        with pytest.raises(RegimeMismatchError, match=self.REFUSED.format("diffusive")):
             martingale_square_series(validate_params(1, False, 0.6, 1.0))
+
+    def test_critical_point_rejected(self):
+        # 2r - 1 is a few ulps off 0 at p_c built as the docs say, and -+2e-12 at p_c -+ 5e-13
+        # (K = 2, theta = 1): every point is critical, and the regime gate refuses them all
+        points = [(K, 0.6, critical_probability(K, 0.6)) for K in range(2, 7)]
+        points += [(2, 1.0, 0.75 + eps) for eps in (-5e-13, 5e-13)]
+        for K, theta, p in points:
+            params = validate_params(K // 2, K % 2 == 1, p, theta)
+            with pytest.raises(RegimeMismatchError, match=self.REFUSED.format("critical")):
+                martingale_square_series(params)
 
     @pytest.mark.parametrize("r", [0.6, 0.8, 0.95, 1.0])
     def test_drift_square_weight_matches_direct_sum(self, r):

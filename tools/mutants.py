@@ -39,6 +39,11 @@ MARK_ROW = """        if n == mark:
             i += 1
             mark = next(following, 0)
 """
+# the cross-time estimate reads its domain from theory, then walks
+CROSS_DOMAIN = "    theory.diffusive_covariance(params, s, t)  # its domain, before any walk\n"
+CROSS_WALK = """    ns, nt = _cross_time_marks(s, t, n_scale)
+    summary = run_ensemble(params, init, nt, [ns, nt], replicas, seed, workers=workers, retain_samples=True)
+"""
 ADVANCE = """        x, y, g = 1.0 + lam * e / n, lam * c / n, 1.0 + 2.0 * lam / n
         wb, wp, wbb, wbp, wpp = g * wb + x, g * wp + y, g * wbb - x * x, g * wbp - x * y, g * wpp - y * y
         c, e = c + y, e + x
@@ -91,6 +96,11 @@ MUTANTS = [
            '(Regime.SUPERDIFFUSIVE,), "the closed-form limit second moment"',
            '(Regime.SUPERDIFFUSIVE, Regime.DIFFUSIVE), "the closed-form limit second moment"',
            ("tests/test_theory.py::TestLimitMoments::test_regime_gate",)),
+    Mutant("weight-series-no-gate", THEORY,
+           '    _require_regime(params, (Regime.SUPERDIFFUSIVE,), "the squared weight series")\n', "",
+           ("tests/test_theory.py::TestSquareSeries",)),
+    Mutant("cross-time-domain-after-walk", MC, CROSS_DOMAIN + CROSS_WALK, CROSS_WALK + CROSS_DOMAIN,
+           ("tests/test_montecarlo.py::TestCrossTime::test_domain_fails_before_the_walk",)),
     # the CLI checks its inputs before any walk
     Mutant("phase-diagram-lazy-grid", "src/memwalk/cli.py",
            "points = [validate_params(cfg.d, cfg.lazy, p, th) for th in cfg.theta_grid for p in cfg.p_grid]",
@@ -130,6 +140,8 @@ MUTANTS = [
            ("tests/test_theory.py::TestExactMoments",)),
     Mutant("row-after-advance", THEORY, MARK_ROW + ADVANCE, ADVANCE + MARK_ROW,
            ("tests/test_theory.py::TestExactMoments",)),
+    Mutant("kernel-growth-flat", THEORY, "s, t, params.second_eigenvalue)", "s, t, 0.0)",
+           ("tests/test_theory.py::TestPositionCovariances::test_cross_time_scaling_factor",)),
     Mutant("b0-weight", THEORY, "+ b0 / (2.0 * r - 1.0)", "+ b0 / (2.0 * r)",
            ("tests/test_theory.py::TestLimitMoments",)),
     Mutant("b1-weight", THEORY, "+ np.diag(w) - np.outer(v, w) - np.outer(w, v)",
