@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,8 +155,8 @@ class InitialSpec:
             if self.probs is None or len(self.probs) != K:
                 raise ValueError(f"custom distribution must have length {K}")
             pi = np.asarray(self.probs, dtype=float)
-            if np.any(pi < 0.0):
-                raise ValueError("custom distribution has negative entries")
+            if not np.all(pi >= 0.0):
+                raise ValueError("custom distribution has negative or NaN entries")
             if abs(pi.sum() - 1.0) > 1e-12:
                 raise ValueError(f"custom distribution sums to {pi.sum()!r}, not 1")
             return pi
@@ -198,29 +199,19 @@ def _cuts(law: np.ndarray) -> tuple[float, ...]:
     return tuple(np.cumsum(law)[:-1].tolist())
 
 
-# First-step tables by (kind, index, probs, d, lazy): the cuts of the
-# first-step law, and the one-hot count rows that ``initial_step`` copies.
-# The key is plain fields, which hash faster than the two frozen dataclasses,
-# and the samplers read it inline, which is cheaper than a call.
-_FIRST_STEP: dict[tuple, tuple[tuple[float, ...], tuple[np.ndarray, ...]]] = {}
-_TABLE_ENTRIES = 128  # a full table cache is emptied first, so a sweep over many parameters stays small
-
-
-def _first_step_table(
-    key: tuple, init: InitialSpec, params: ModelParams
-) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
-    """Validate the first-step law of (init, params) and cache its table under ``key``."""
-    law = init.distribution(params)
-    if len(_FIRST_STEP) >= _TABLE_ENTRIES:
-        _FIRST_STEP.clear()
-    table = _FIRST_STEP[key] = (_cuts(law), tuple(np.eye(len(law), dtype=np.int64)))
-    return table
+@lru_cache(maxsize=128)
+def _first_step_table(kind: str, index, probs, d: int, lazy: bool) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """The cuts of a start's first-step law and the one-hot count rows that ``initial_step`` copies,
+    keyed on plain fields, which hash faster than the two frozen dataclasses. A bad start raises
+    on every call: ``lru_cache`` stores no exception."""
+    # the first-step law reads only d and lazy, never p or theta
+    law = InitialSpec(kind, index, probs).distribution(ModelParams(d, lazy, 0.0, 0.0))
+    return _cuts(law), tuple(np.eye(len(law), dtype=np.int64))
 
 
 def initial_step(params: ModelParams, init: InitialSpec, rng: np.random.Generator) -> WalkState:
     """Sample X_1 from ``init`` and return the one-step state."""
-    key = (init.kind, init.index, init.probs, params.d, params.lazy)
-    first, rows = _FIRST_STEP.get(key) or _first_step_table(key, init, params)
+    first, rows = _first_step_table(init.kind, init.index, init.probs, params.d, params.lazy)
     return WalkState(1, rows[bisect_right(first, rng.random())].copy())
 
 

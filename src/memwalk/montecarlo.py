@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import theory
-from .model import InitialSpec, ModelParams, _checkpoint_marks, base_step_rates, counts_to_position
+from .model import InitialSpec, ModelParams, _checkpoint_marks, _cuts, base_step_rates, counts_to_position
 from .theory import Regime
 
 _MASK64 = (1 << 64) - 1
@@ -217,7 +217,7 @@ def _simulate_block(
     base = [np.array(b) for b in base_step_rates(params)]
     base0, lam2 = base[0], params.second_eigenvalue
     c = np.empty(())
-    cum0 = np.cumsum(init.distribution(params))
+    cuts = np.array(_cuts(init.distribution(params)))[:, None]  # the first step's, as initial_step reads them
     multiply, add, subtract, greater_equal = np.multiply, np.add, np.subtract, np.greater_equal
     Generator, PCG64 = np.random.Generator, np.random.PCG64
 
@@ -239,10 +239,9 @@ def _simulate_block(
         acc, tmp = np.empty(w), np.empty(w)
         hit = np.empty(w, dtype=bool)
 
-        # first step from the initial distribution; here a tie moves past the partial sum
+        # first step: the move is at most k exactly when cut k > u, so a tie moves past the cut
         _refill(tile, block, gens, chunk)
-        first = np.minimum(np.searchsorted(cum0, us[0], side="right"), K - 1)
-        cum[:] = first <= np.arange(K - 1)[:, None]
+        cum[:] = cuts > us[0]
 
         # walk on from the previous mark (from the first step, for the first mark), then record
         for ci, (start, mark) in enumerate(zip([1, *marks], marks)):
@@ -699,9 +698,10 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
     the regimes of the tag's theory reference.
     """
     budget = default_budget(tag, **vars(budget or VerifyBudget()))
+    for name, readers in (("checkpoints", CHECKPOINT_TAGS), ("cross_time", ("clt-diffusive",))):
+        if getattr(budget, name) is not None and tag not in readers:
+            raise ValueError(f"tag {tag} reads no {name}, got {getattr(budget, name)}")
     if budget.checkpoints is not None:
-        if tag not in CHECKPOINT_TAGS:
-            raise ValueError(f"tag {tag} reads no checkpoints, got {budget.checkpoints}")
         # these ensembles run to their last checkpoint, whatever n_steps says;
         # an empty list is left to the verifier's own check
         budget = dataclasses.replace(budget, n_steps=max(budget.checkpoints, default=budget.n_steps))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import _TABLE_ENTRIES, ModelParams, _cuts, draw_holder
+from .model import ModelParams, _cuts, draw_holder
 
 
 @dataclass(slots=True)
@@ -56,17 +57,12 @@ def mean_replacement_matrix(params: ModelParams) -> np.ndarray:
     return np.column_stack([replacement_distribution(params, j) for j in range(params.K)])
 
 
-# The cuts of each drawn color's replacement law by (d, lazy, p, theta), the
-# fields they read: plain fields hash faster than the frozen ModelParams.
-_REPLACEMENT: dict[tuple[int, bool, float, float], tuple[tuple[float, ...], ...]] = {}
-
-
-def _replacement_table(key: tuple, params: ModelParams) -> tuple[tuple[float, ...], ...]:
-    """Cache ``model._cuts`` of the replacement law of every drawn color under ``key``."""
-    if len(_REPLACEMENT) >= _TABLE_ENTRIES:
-        _REPLACEMENT.clear()
-    table = _REPLACEMENT[key] = tuple(_cuts(replacement_distribution(params, j)) for j in range(params.K))
-    return table
+@lru_cache(maxsize=128)
+def _replacement_table(d: int, lazy: bool, p: float, theta: float) -> tuple[tuple[float, ...], ...]:
+    """``model._cuts`` of the replacement law of every drawn color, keyed on the fields the laws
+    read: plain fields hash faster than the frozen ModelParams."""
+    params = ModelParams(d, lazy, p, theta)
+    return tuple(_cuts(replacement_distribution(params, j)) for j in range(params.K))
 
 
 def urn_step(params: ModelParams, state: UrnState, rng: np.random.Generator) -> UrnState:
@@ -75,8 +71,7 @@ def urn_step(params: ModelParams, state: UrnState, rng: np.random.Generator) -> 
     if n < 1:
         raise ValueError("urn is empty")
     held = state.balls.tolist()
-    key = (params.d, params.lazy, params.p, params.theta)
-    table = _REPLACEMENT.get(key) or _replacement_table(key, params)
+    table = _replacement_table(params.d, params.lazy, params.p, params.theta)
     added = bisect_right(table[draw_holder(held, rng)], rng.random())
     balls = state.balls.copy()
     balls[added] = held[added] + 1

@@ -515,6 +515,15 @@ class TestConfigRoundTrip:
         assert (code, out) == (1, "")
         assert err.startswith("memwalk: error:") and str(path) in err
 
+    @pytest.mark.parametrize("command", [["simulate", "--steps", "10", "--reps", "10"], ["theory"]])
+    def test_custom_init_file_holding_nan_rejected(self, capsys, tmp_path, command):
+        # json.load reads the NaN token; unrefused, simulate would write a CSV and theory a null moment
+        path = tmp_path / "probs.json"
+        path.write_text("[NaN, 1.0]")
+        code, out, err = run_cli(capsys, *command, "--p", "0.9", "--init", f"custom:{path}")
+        assert (code, out) == (1, "")
+        assert err.startswith("memwalk: error:") and "NaN" in err
+
 
 class TestUsageContract:
     def test_unknown_flag_is_hard_error(self, capsys):

@@ -198,17 +198,26 @@ class TestInitialStep:
         state = initial_step(params, InitialSpec.custom([0.0, 1.0]), np.random.default_rng(0))
         assert state.counts[1] == 1
 
+    @pytest.mark.parametrize("probs", [[float("nan"), 1.0], [1.0, float("nan")]])
+    def test_nan_custom_start_rejected(self, probs):
+        # json.load reads NaN, so a custom:FILE start can hold one; it compares false with 0 and with 1
+        params = validate_params(1, False, 0.5, 0.5)
+        with pytest.raises(ValueError, match="^custom distribution has negative or NaN entries$"):
+            InitialSpec.custom(probs).distribution(params)
+        with pytest.raises(ValueError, match="NaN"):
+            initial_step(params, InitialSpec.custom(probs), np.random.default_rng(0))
+
     def test_bad_spec_raises_on_every_call(self):
         # the first-step table is cached per start and K; a failed check is not
         params = validate_params(1, False, 0.5, 0.5)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        model._FIRST_STEP.clear()
+        model._first_step_table.cache_clear()
         for init in (InitialSpec.fixed(2), InitialSpec.custom([0.5, 0.4]), InitialSpec(kind="odd")):
             for _ in range(2):
                 with pytest.raises(ValueError):
                     initial_step(params, init, rng)
-        assert not model._FIRST_STEP
+        assert model._first_step_table.cache_info().currsize == 0
         assert rng.bit_generator.state == before
 
 
@@ -227,32 +236,38 @@ FIRST_STEPS = [
 class TestFirstStepTable:
     def test_equal_specs_share_one_table(self):
         # distinct but equal objects, and p and theta, which the first step does not read
-        model._FIRST_STEP.clear()
+        table = model._first_step_table
+        table.cache_clear()
         initial_step(validate_params(1, False, 0.5, 0.5), InitialSpec.custom([0.25, 0.75]), np.random.default_rng(0))
         initial_step(validate_params(1.0, False, 0.9, 0.1), InitialSpec.custom((0.25, 0.75)), np.random.default_rng(0))
-        assert len(model._FIRST_STEP) == 1
+        assert table.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert table.cache_info().currsize == 1
 
     def test_each_start_and_K_gets_its_own_table(self):
-        model._FIRST_STEP.clear()
-        for init, d, lazy, _ in FIRST_STEPS:
+        table = model._first_step_table
+        table.cache_clear()
+        for init, d, lazy, cuts in FIRST_STEPS:
             params = validate_params(d, lazy, 0.5, 0.5)
             assert initial_step(params, init, np.random.default_rng(0)).counts.shape == (params.K,)
-        tables = sorted(model._FIRST_STEP.values(), key=lambda table: table[0])
-        assert [cuts for cuts, _ in tables] == sorted(cuts for *_, cuts in FIRST_STEPS)
-        for cuts, rows in tables:
-            assert np.array_equal(rows, np.eye(len(cuts) + 1, dtype=np.int64))
+            first, rows = table(init.kind, init.index, init.probs, d, lazy)  # the entry initial_step made
+            assert first == cuts
+            assert np.array_equal(rows, np.eye(params.K, dtype=np.int64))
+        assert table.cache_info().currsize == table.cache_info().hits == len(FIRST_STEPS)
 
-    def test_full_cache_is_emptied_before_a_new_table(self, monkeypatch):
-        monkeypatch.setattr(model, "_FIRST_STEP", {})
+    def test_full_cache_drops_the_least_recently_used_table(self):
+        table = model._first_step_table
+        table.cache_clear()
         params = validate_params(1, False, 0.5, 0.5)
-        starts = [InitialSpec.custom([q, 1.0 - q]) for q in np.linspace(0.05, 0.95, model._TABLE_ENTRIES + 1)]
+        starts = [InitialSpec.custom([q, 1.0 - q]) for q in np.linspace(0.05, 0.95, table.cache_info().maxsize + 1)]
         for init in starts[:-1]:
             initial_step(params, init, np.random.default_rng(0))
-        assert len(model._FIRST_STEP) == model._TABLE_ENTRIES
+        assert table.cache_info().currsize == table.cache_info().maxsize == 128
         last = starts[-1]
         draws = [initial_step(params, last, np.random.default_rng(seed)).counts for seed in range(40)]
-        assert list(model._FIRST_STEP) == [("custom", None, last.probs, 1, False)]
-        monkeypatch.setattr(model, "_FIRST_STEP", {})
+        assert table.cache_info().currsize == 128
+        initial_step(params, starts[0], np.random.default_rng(0))  # the oldest table went, so it is built again
+        assert table.cache_info().misses == 130
+        table.cache_clear()
         fresh = [initial_step(params, last, np.random.default_rng(seed)).counts for seed in range(40)]
         assert np.array_equal(draws, fresh)
 

@@ -11,9 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chisquare_pvalue, subprocess_env
+from conftest import FixedUniform, chisquare_pvalue, subprocess_env
 from memwalk import model, montecarlo, oracle, theory
-from memwalk.model import InitialSpec, ModelParams, base_step_rates, validate_params
+from memwalk.model import InitialSpec, ModelParams, base_step_rates, initial_step, validate_params
 from memwalk.montecarlo import (
     VerifyBudget,
     _simulate_block,
@@ -252,6 +252,20 @@ class TestTieRule:
         want = reference_block(params, init, 2, [2], 0, 0, len(rows), True)
         assert np.array_equal(got[2][0], expected)
         assert np.array_equal(want[2][0], expected)
+
+    @pytest.mark.parametrize("d, lazy", [(1, False), (1, True), (2, True)])
+    def test_first_step_tie_moves_past_the_cut(self, monkeypatch, d, lazy):
+        # the first uniform at each partial sum of the first-step law and just above it,
+        # from a uniform start and a custom one with no mass on move 0, whose first sum is 0
+        params = validate_params(d, lazy, 0.7, 0.6)
+        K = params.K
+        for init in (UNIFORM, InitialSpec.custom(np.arange(K) / (K * (K - 1) / 2))):
+            cuts = np.cumsum(init.distribution(params))[:-1]
+            firsts = np.concatenate([cuts, np.nextafter(cuts, 1.0)])
+            feed(monkeypatch, [np.array([u]) for u in firsts])
+            got = _simulate_block(params, init, [1], 0, 0, len(firsts), True)
+            want = [initial_step(params, init, FixedUniform(u)).position for u in firsts]
+            assert np.array_equal(got[2][0], want)
 
 
 class TestEngineAgainstExactLaw:
@@ -842,6 +856,18 @@ class TestVerify:
         params = validate_params(1, False, p, 1.0)
         with pytest.raises(ValueError, match="reads no checkpoints"):
             verify(tag, params, default_budget(tag, n_steps=10, replicas=10, checkpoints=[10]))
+
+    @pytest.mark.parametrize("tag, p", [("lln", 0.8), ("clt-critical", 0.75), ("superdiffusive", 0.9),
+                                        ("moments", 0.9)])
+    def test_cross_time_rejected_where_unread(self, monkeypatch, tag, p):
+        # only clt-diffusive reads cross_time; elsewhere it is refused like checkpoints, before any walk
+        def walk(*args):
+            raise AssertionError("an ensemble walked with a cross_time its tag does not read")
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", walk)
+        budget = VerifyBudget(n_steps=100_000, replicas=200, cross_time=(1.0, 4.0, 10**9))
+        with pytest.raises(ValueError, match=rf"^tag {tag} reads no cross_time, got \(1.0, 4.0, 1000000000\)$"):
+            verify(tag, validate_params(1, False, p, 1.0), budget)
 
     @pytest.fixture
     def no_walks(self, monkeypatch):

@@ -114,36 +114,42 @@ class TestMeanReplacementMatrix:
 
 class TestReplacementTables:
     def test_equal_params_share_one_table(self):
-        urn._REPLACEMENT.clear()
+        table = urn._replacement_table
+        table.cache_clear()
         for d in (1, 1.0):
             params = validate_params(d, True, 0.4, 0.7)
             urn_step(params, UrnState(n=1, balls=np.array([1, 0, 0])), np.random.default_rng(0))
-        assert len(urn._REPLACEMENT) == 1
+        assert table.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert table.cache_info().currsize == 1
 
     def test_each_K_p_theta_gets_its_own_table(self):
-        urn._REPLACEMENT.clear()
+        table = urn._replacement_table
+        table.cache_clear()
         points = [(1, False, 0.4, 0.7), (1, False, 0.4, 0.2), (1, False, 0.6, 0.7),
                   (1, True, 0.4, 0.7), (2, False, 0.4, 0.7)]
-        grid = [validate_params(*point) for point in points]
-        for params in grid:
+        for point in points:
+            params = validate_params(*point)
             balls = np.zeros(params.K, dtype=np.int64)
             balls[0] = 1
             urn_step(params, UrnState(n=1, balls=balls), np.random.default_rng(0))
-        want = [tuple(tuple(np.cumsum(replacement_distribution(params, j))[:-1].tolist()) for j in range(params.K))
-                for params in grid]
-        assert sorted(urn._REPLACEMENT.values()) == sorted(want)
+            want = tuple(tuple(np.cumsum(replacement_distribution(params, j))[:-1].tolist()) for j in range(params.K))
+            assert table(*point) == want  # the entry urn_step made
+        assert table.cache_info().currsize == table.cache_info().hits == len(points)
 
-    def test_full_cache_is_emptied_before_a_new_table(self, monkeypatch):
-        monkeypatch.setattr(urn, "_REPLACEMENT", {})
-        grid = [validate_params(1, True, p, 0.7) for p in np.linspace(0.05, 0.95, urn._TABLE_ENTRIES + 1)]
+    def test_full_cache_drops_the_least_recently_used_table(self):
+        table = urn._replacement_table
+        table.cache_clear()
+        grid = [validate_params(1, True, p, 0.7) for p in np.linspace(0.05, 0.95, table.cache_info().maxsize + 1)]
         state = UrnState(n=3, balls=np.array([1, 1, 1]))
         for params in grid[:-1]:
             urn_step(params, state, np.random.default_rng(0))
-        assert len(urn._REPLACEMENT) == urn._TABLE_ENTRIES
+        assert table.cache_info().currsize == table.cache_info().maxsize == 128
         last = grid[-1]
         draws = [urn_step(last, state, np.random.default_rng(seed)).balls for seed in range(40)]
-        assert list(urn._REPLACEMENT) == [(1, True, last.p, 0.7)]
-        monkeypatch.setattr(urn, "_REPLACEMENT", {})
+        assert table.cache_info().currsize == 128
+        urn_step(grid[0], state, np.random.default_rng(0))  # the oldest table went, so it is built again
+        assert table.cache_info().misses == 130
+        table.cache_clear()
         fresh = [urn_step(last, state, np.random.default_rng(seed)).balls for seed in range(40)]
         assert np.array_equal(draws, fresh)
 

@@ -82,6 +82,8 @@ MUTANTS = [
     # the int64 bound, checked before any walk
     Mutant("int64-bound", MC, "marks[-1] ** 2 >= 2**62", "marks[-1] ** 2 >= 2**63",
            ("tests/test_montecarlo.py::TestRunEnsemble::test_int64_bound_at_its_first_failing_size",)),
+    Mutant("cross-time-unread-accepted", MC, ', ("cross_time", ("clt-diffusive",))):', ",):",
+           ("tests/test_montecarlo.py::TestVerify::test_cross_time_rejected_where_unread",)),
     Mutant("verify-plan-unchecked", MC,
            "    for _, n, marks, _ in ensembles:  # every planned walk is checked before the first\n"
            "        _check_run(budget.replicas, budget.workers, n, marks)\n", "",
@@ -112,6 +114,8 @@ MUTANTS = [
     # the samplers
     Mutant("kernel-stale-coefficient", MC, "c.fill(lam2 / n)", "if n != 2: c.fill(lam2 / n)", KERNEL_TESTS),
     Mutant("refill-column-offset", MC, "= part.T", "= np.roll(part.T, 1, axis=1)", KERNEL_TESTS),
+    Mutant("kernel-first-step-tie", MC, "cum[:] = cuts > us[0]", "cum[:] = cuts >= us[0]",
+           ("tests/test_montecarlo.py::TestTieRule::test_first_step_tie_moves_past_the_cut",)),
     Mutant("kernel-tie", MC, "greater_equal(acc, u, hit)\n                for row",
            "np.greater(acc, u, hit)\n                for row", ("tests/test_montecarlo.py::TestTieRule",)),
     Mutant("refill-block-rows-off-by-one", MC, "for r0 in range(0, w, rows):", "for r0 in range(0, w, rows + 1):",
@@ -125,14 +129,17 @@ MUTANTS = [
     Mutant("first-step-row-shared", "src/memwalk/model.py", "rng.random())].copy()", "rng.random())]",
            ("tests/test_model.py::TestFirstStepTable",)),
     Mutant("first-step-key-no-lazy", "src/memwalk/model.py", "init.probs, params.d, params.lazy)",
-           "init.probs, params.d)", ("tests/test_model.py::TestFirstStepTable",)),
+           "init.probs, params.d, False)", ("tests/test_model.py::TestFirstStepTable",)),
     Mutant("cuts-keep-last-sum", "src/memwalk/model.py", "np.cumsum(law)[:-1]", "np.cumsum(law)",
            ("tests/test_model.py::TestReferenceSampler::test_clip_when_first_step_law_sums_below_one",
             "tests/test_urn.py::TestReferenceSampler::test_clip_at_the_largest_uniform")),
     Mutant("pairing-reads-stay-put", "src/memwalk/model.py", "d = counts.shape[-1] // 2",
            "d = (counts.shape[-1] + 1) // 2", ("tests/test_urn.py::TestCountsToPosition",)),
-    Mutant("urn-table-key-no-theta", "src/memwalk/urn.py", "key = (params.d, params.lazy, params.p, params.theta)",
-           "key = (params.d, params.lazy, params.p)", ("tests/test_urn.py::TestReplacementTables",)),
+    Mutant("urn-table-key-no-theta", "src/memwalk/urn.py", "params.lazy, params.p, params.theta)",
+           "params.lazy, params.p, 0.0)", ("tests/test_urn.py::TestReplacementTables",)),
+    Mutant("start-nan-accepted", "src/memwalk/model.py", "if not np.all(pi >= 0.0):", "if np.any(pi < 0.0):",
+           ("tests/test_model.py::TestInitialStep::test_nan_custom_start_rejected",
+            "tests/test_cli.py::TestConfigRoundTrip::test_custom_init_file_holding_nan_rejected")),
     # the moment engine and the limit
     Mutant("growth-factor", THEORY, "1.0 + 2.0 * lam / n", "1.0 + 2.0 * lam / (n + 1)",
            ("tests/test_theory.py::TestExactMoments",)),
