@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import typing
@@ -24,6 +25,9 @@ import numpy as np
 from . import montecarlo, oracle, theory
 from .model import InitialSpec, validate_params
 from .theory import Regime
+
+#: Paths rendered together when ``oracle`` writes its document, which bounds its memory at any --steps.
+_ORACLE_BLOCK_PATHS = 4_096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,12 +117,13 @@ def _parse_grid(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, parts: typing.Iterable[str]) -> None:
+    """Write the strings of ``parts`` in turn to ``path``, or to stdout when it is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def cmd_theory(cfg: RunConfig) -> int:
@@ -156,7 +161,7 @@ def cmd_theory(cfg: RunConfig) -> int:
             "limit_mean": limit.mean,
             "limit_second_moment": limit.second_moment,
         }
-    _write_text(cfg.out, json.dumps(montecarlo.json_ready(doc), indent=2) + "\n")
+    _write_text(cfg.out, [json.dumps(montecarlo.json_ready(doc), indent=2) + "\n"])
     return 0
 
 
@@ -184,7 +189,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         row += [float(cp.cov[i, j]) for i in range(d) for j in range(i, d)]
         row += [float(v) for v in cp.stderr]
         lines.append(_csv_row(row))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(cfg.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -198,7 +203,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         seed=cfg.seed, workers=cfg.workers, init=_parse_init(cfg.init),
     )
     report = montecarlo.verify(cfg.tag, params, budget)
-    _write_text(cfg.out, json.dumps(report.as_dict(), indent=2) + "\n")
+    _write_text(cfg.out, [json.dumps(report.as_dict(), indent=2) + "\n"])
     return 0 if report.passed else 2
 
 
@@ -221,7 +226,7 @@ def cmd_phase_diagram(cfg: RunConfig) -> int:
         except ValueError:
             slope, se = float("nan"), float("nan")
         lines.append(_csv_row([params.p, params.theta, regime.value, pc, slope, se]))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(cfg.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -233,13 +238,17 @@ def cmd_oracle(cfg: RunConfig) -> int:
     doc = {
         "params": {"d": params.d, "lazy": params.lazy, "K": params.K, "p": params.p, "theta": params.theta},
         "n": cfg.n_steps,
-        "paths": None,  # filled in below in json.dumps's layout: its indented encoder is pure Python
+        "paths": None,  # written below in json.dumps's layout: its indented encoder is pure Python
         **montecarlo.json_ready(dataclasses.asdict(marg)),  # mean_position, position_cov, mean_axis_counts
     }
+    head, _, tail = json.dumps(doc, indent=2).partition('"paths": null')
     fields = ",\n        ".join(["{}"] * cfg.n_steps)
     entry = '    {{\n      "sequence": [\n        ' + fields + '\n      ],\n      "probability": {!r}\n    }}'
-    paths = ",\n".join(entry.format(*seq, prob) for seq, prob in dist.sequences())
-    _write_text(cfg.out, json.dumps(doc, indent=2).replace('"paths": null', f'"paths": [\n{paths}\n  ]', 1) + "\n")
+    entries = (entry.format(*seq, prob) for seq, prob in dist.sequences())
+    # the entries are rendered a block at a time as they are written, never the whole list at once
+    blocks = ((",\n" if start else "") + ",\n".join(itertools.islice(entries, _ORACLE_BLOCK_PATHS))
+              for start in range(0, len(dist.probs), _ORACLE_BLOCK_PATHS))
+    _write_text(cfg.out, itertools.chain([head, '"paths": [\n'], blocks, ["\n  ]", tail, "\n"]))
     return 0
 
 

@@ -529,10 +529,11 @@ class VerificationReport:
     """Outcome of one theorem-level check.
 
     Discrepancies are reported in standard-error units or relative terms
-    so they can be re-judged under a different gate. ``tolerance`` has the
-    keys of ``discrepancy``, and ``passed`` is True exactly when every
-    entry of every discrepancy is at most the tolerance under its key; a
-    NaN entry fails. Statistical gates are per-scalar, two-sided, with no
+    so they can be re-judged under a different gate. A tag's gates give
+    one (value, tolerance) pair per key, and ``verify`` writes their halves
+    into ``discrepancy`` and ``tolerance`` and sets ``passed``, True exactly
+    when every entry of every value is at most its tolerance; a NaN entry
+    fails. Statistical gates are per-scalar, two-sided, with no
     family-wise correction.
     """
 
@@ -581,8 +582,8 @@ def _verify_lln(params: ModelParams, budget: VerifyBudget):
     def gates(summary):
         cp = summary.at(n)
         emp, se = cp.mean / n, cp.stderr / n
-        return dict(theoretical={"limit": limit}, empirical={"mean_over_n": emp, "stderr": se},
-                    discrepancy={"se_units": _se_units(emp - limit, se)}, tolerance={"se_units": _TOLERANCE_SE})
+        pairs = {"se_units": (_se_units(emp - limit, se), _TOLERANCE_SE)}
+        return {"limit": limit}, {"mean_over_n": emp, "stderr": se}, pairs
 
     return [(budget.seed, n, [n], False)], gates
 
@@ -603,14 +604,11 @@ def _verify_clt_diffusive(params: ModelParams, budget: VerifyBudget):
         se = np.sqrt((np.outer(np.diag(th), np.diag(th)) + th**2) / R)
         # a degenerate coordinate's shape reads NaN, which fails
         shape_z = [(s.skew_z, s.kurt_z) for s in gaussianity_check(summary.samples[n])]
-        return dict(
-            theoretical={"covariance_over_n": th, "cross_time": cross_th},
-            empirical={"covariance_over_n": emp, "cross_time": cross_emp, "shape_z": shape_z},
-            discrepancy={"covariance_se_units": _se_units(emp - th, se), "shape_se_units": np.abs(shape_z),
-                         "cross_time_rel": _rel(cross_emp, cross_th)},
-            tolerance={"covariance_se_units": _TOLERANCE_SE, "shape_se_units": _TOLERANCE_SE,
-                       "cross_time_rel": _TOLERANCE_CROSS_TIME},
-        )
+        pairs = {"covariance_se_units": (_se_units(emp - th, se), _TOLERANCE_SE),
+                 "shape_se_units": (np.abs(shape_z), _TOLERANCE_SE),
+                 "cross_time_rel": (_rel(cross_emp, cross_th), _TOLERANCE_CROSS_TIME)}
+        return ({"covariance_over_n": th, "cross_time": cross_th},
+                {"covariance_over_n": emp, "cross_time": cross_emp, "shape_z": shape_z}, pairs)
 
     return [(budget.seed + 1, nt, [ns, nt], True), (budget.seed, n, [n], True)], gates
 
@@ -629,9 +627,9 @@ def _verify_clt_critical(params: ModelParams, budget: VerifyBudget):
     def gates(summary):
         ratios = {cp.n: float(np.trace(cp.cov) / (cp.n * np.log(cp.n))) for cp in summary.checkpoints}
         r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]
-        return dict(theoretical={"trace_over_nlogn": th}, empirical={"trace_over_nlogn": ratios},
-                    discrepancy={"between_checkpoints_rel": _rel(r_last, r_first), "vs_theory_rel": _rel(r_last, th)},
-                    tolerance={"between_checkpoints_rel": _TOLERANCE_CRITICAL, "vs_theory_rel": _TOLERANCE_CRITICAL})
+        pairs = {"between_checkpoints_rel": (_rel(r_last, r_first), _TOLERANCE_CRITICAL),
+                 "vs_theory_rel": (_rel(r_last, th), _TOLERANCE_CRITICAL)}
+        return {"trace_over_nlogn": th}, {"trace_over_nlogn": ratios}, pairs
 
     return [(budget.seed, n, marks, False)], gates
 
@@ -644,8 +642,8 @@ def _verify_superdiffusive(params: ModelParams, budget: VerifyBudget):
 
     def gates(summary):
         slope, se = scaling_exponent(summary)
-        return dict(theoretical={"exponent": target}, empirical={"exponent": slope, "exponent_se": se},
-                    discrepancy={"abs": abs(slope - target)}, tolerance={"abs": _TOLERANCE_EXPONENT})
+        pairs = {"abs": (abs(slope - target), _TOLERANCE_EXPONENT)}
+        return {"exponent": target}, {"exponent": slope, "exponent_se": se}, pairs
 
     return [(budget.seed, budget.n_steps, marks, False)], gates
 
@@ -662,13 +660,10 @@ def _verify_moments(params: ModelParams, budget: VerifyBudget):
         exact_mean = theory._moments_at(params, budget.init, [n]).mean_position[0]
         mean_l = (cp.mean - exact_mean) / float(n) ** r
         se_l = cp.stderr / float(n) ** r
-        return dict(
-            theoretical={"second_moment": limit.second_moment, "mean": limit.mean},
-            empirical={"second_moment": emp_second, "mean": mean_l, "mean_se": se_l},
-            discrepancy={"second_moment_rel": _rel(emp_second, limit.second_moment),
-                         "mean_se_units": _se_units(mean_l, se_l)},
-            tolerance={"second_moment_rel": _TOLERANCE_MOMENT, "mean_se_units": _TOLERANCE_SE},
-        )
+        pairs = {"second_moment_rel": (_rel(emp_second, limit.second_moment), _TOLERANCE_MOMENT),
+                 "mean_se_units": (_se_units(mean_l, se_l), _TOLERANCE_SE)}
+        return ({"second_moment": limit.second_moment, "mean": limit.mean},
+                {"second_moment": emp_second, "mean": mean_l, "mean_se": se_l}, pairs)
 
     return [(budget.seed, n, [n], False)], gates
 
@@ -678,8 +673,10 @@ CHECKPOINT_TAGS = ("clt-critical", "superdiffusive")  # the tags whose ensembles
 #: Per tag: the verifier and the default n_steps and replicas, which fill those a caller's
 #: VerifyBudget leaves None. A verifier reads its theory reference and checks its marks and
 #: sizes, raising before any walk, then returns (ensembles, gates): ensembles lists (seed,
-#: n_steps, marks, retain) in walk order, and gates(*summaries) builds the four dicts, with
-#: the _TOLERANCE_* gates above. Only verify walks. A tag's regimes are its theory reference's.
+#: n_steps, marks, retain) in walk order, and gates(*summaries) returns the theoretical and
+#: empirical dicts and one (value, tolerance) pair per gate key, the tolerance read from the
+#: _TOLERANCE_* gates above. Only verify walks, and it writes the verdict and the discrepancy
+#: and tolerance dicts. A tag's regimes are its theory reference's.
 _VERIFIERS = {
     "lln": (_verify_lln, dict(n_steps=100_000, replicas=200)),
     "clt-diffusive": (_verify_clt_diffusive, dict(n_steps=10_000, replicas=10_000)),
@@ -717,6 +714,9 @@ def verify(tag: str, params: ModelParams, budget: VerifyBudget | None = None) ->
         _check_run(budget.replicas, budget.workers, n, marks)
     summaries = [run_ensemble(params, budget.init, n, marks, budget.replicas, seed, workers=budget.workers,
                               retain_samples=retain) for seed, n, marks, retain in ensembles]
-    found = gates(*summaries)
-    passed = all(np.all(np.less_equal(v, found["tolerance"][k])) for k, v in found["discrepancy"].items())
-    return VerificationReport(tag=tag, passed=passed, config=config, **found)
+    theoretical, empirical, pairs = gates(*summaries)
+    passed = all(np.all(np.less_equal(value, tolerance)) for value, tolerance in pairs.values())
+    discrepancy = {k: value for k, (value, _) in pairs.items()}
+    tolerance = {k: tol for k, (_, tol) in pairs.items()}
+    return VerificationReport(tag=tag, passed=passed, theoretical=theoretical, empirical=empirical,
+                              discrepancy=discrepancy, tolerance=tolerance, config=config)

@@ -98,7 +98,8 @@ def lln_limit(params: ModelParams) -> np.ndarray:
     if denom <= 0.0:
         raise ValueError("degenerate parameters theta = p = 1: S_n / n has a random limit")
     out = np.zeros(params.d)
-    out[0] = (1.0 - theta) * (K * p - 1.0) / denom
+    if theta != 1.0:  # at theta = 1 the limit is +0.0 for every p; the formula gives -0.0 where Kp < 1
+        out[0] = (1.0 - theta) * (K * p - 1.0) / denom
     return out
 
 

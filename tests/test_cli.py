@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -93,6 +94,12 @@ class TestTheoryCommand:
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema("theory"))
         assert '"lln_limit": null' in out
+
+    def test_pure_memory_point_has_positive_zero_lln_limit(self, capsys):
+        # theta = 1, Kp < 1: the limit is 0, which the unguarded formula wrote as -0.0
+        code, out, _ = run_cli(capsys, "theory", "--d", "1", "--theta", "1", "--p", "0.3")
+        assert code == 0
+        assert json.loads(out)["lln_limit"] == [0.0] and "-0.0" not in out
 
 
 class TestSimulateCommand:
@@ -394,7 +401,7 @@ class TestOracleCommand:
         jsonschema.validate(doc, load_schema("oracle"))
 
     @pytest.mark.parametrize("d, lazy, p, theta, steps", [
-        (1, False, 0.75, 1.0, (1, 2, 5, 12)),
+        (1, False, 0.75, 1.0, (1, 2, 5, 12, 13)),  # 2^13 paths span two blocks of cli._ORACLE_BLOCK_PATHS
         (1, False, 1e-300, 0.4, (3,)),  # subnormal and zero path probabilities
         (1, True, 0.5, 0.6, (1, 2, 7)),
         (2, False, 1.0, 1.0, (1, 2, 6)),  # p = theta = 1: most paths have probability 0
@@ -421,6 +428,18 @@ class TestOracleCommand:
                 code, out, err = run_cli(capsys, "oracle", *argv, *(["--lazy"] if lazy else []))
                 assert (code, err) == (0, "")
                 assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_memory_stays_below_the_document(self, tmp_path):
+        # the path entries are rendered a block at a time as they are written, never all at once
+        out = tmp_path / "paths.json"
+        tracemalloc.start()
+        try:
+            code = main(["oracle", "--d", "1", "--theta", "1", "--p", "0.75", "--steps", "16", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.stat().st_size > 16 * 2**20
+        assert peak < 12 * 2**20
 
     def test_refuses_large_instance(self, capsys):
         code, _, err = run_cli(

@@ -787,8 +787,10 @@ class TestVerify:
         ({"a": np.zeros(2), "b": np.inf}, False),
     ])
     def test_verdict_is_one_rule_over_the_dicts(self, monkeypatch, discrepancy, passed):
+        pairs = {"a": (discrepancy["a"], 1.0), "b": (discrepancy["b"], 2.0)}
+
         def verifier(params, budget):
-            return [], lambda: dict(theoretical={}, empirical={}, discrepancy=discrepancy, tolerance={"a": 1.0, "b": 2.0})
+            return [], lambda: ({}, {}, pairs)
 
         monkeypatch.setitem(montecarlo._VERIFIERS, "lln", (verifier, {}))
         report = verify("lln", validate_params(1, False, 0.8, 0.3))
@@ -805,7 +807,7 @@ class TestVerify:
         }
         report = verify(tag, validate_params(1, False, p, theta), default_budget(tag, seed=5, **overrides))
         assert report.tolerance == readme[tag]
-        assert list(report.tolerance) == list(report.discrepancy)
+        assert list(report.tolerance) == list(report.discrepancy) == list(readme[tag])
         assert report.passed is True
 
     def test_clt_critical_gates_read_the_first_and_last_marks(self):

@@ -187,6 +187,14 @@ class TestLlnLimit:
         with pytest.raises(ValueError):
             lln_limit(validate_params(1, False, 1.0, 1.0))
 
+    @pytest.mark.parametrize("d, lazy", [(1, False), (1, True), (2, False), (2, True)])  # K = 2..5
+    def test_pure_memory_limit_is_positive_zero(self, d, lazy):
+        # at theta = 1 the limit is 0 for every p, and it must not print as -0.0 where Kp < 1
+        K = 2 * d + lazy
+        for p in (0.5 / K, 1.0 / K, 0.5 + 0.5 / K):
+            limit = lln_limit(validate_params(d, lazy, p, 1.0))
+            assert limit.tolist() == [0.0] * d and not np.any(np.signbit(limit)), (K, p)
+
 
 class TestSpectralDecomposition:
     def test_principal_vectors(self):

@@ -39,6 +39,10 @@ MARK_ROW = """        if n == mark:
             i += 1
             mark = next(following, 0)
 """
+# verify splits each gate's (value, tolerance) pair into the report's two dicts
+GATE_HALVES = """    discrepancy = {k: value for k, (value, _) in pairs.items()}
+    tolerance = {k: tol for k, (_, tol) in pairs.items()}
+"""
 # the cross-time estimate reads its domain from theory, then walks
 CROSS_DOMAIN = "    theory.diffusive_covariance(params, s, t)  # its domain, before any walk\n"
 CROSS_WALK = """    ns, nt = _cross_time_marks(s, t, n_scale)
@@ -66,7 +70,9 @@ MUTANTS = [
     Mutant("critical-swapped-marks", MC, "r_first, r_last = ratios[min(ratios)], ratios[max(ratios)]",
            "r_first, r_last = ratios[max(ratios)], ratios[min(ratios)]", VERIFY_TESTS),
     Mutant("rel-max-th", MC, "np.max(np.abs(th))", "np.max(th)", VERIFY_TESTS),
-    Mutant("verdict-strict", MC, "np.less_equal(v, found", "np.less(v, found", VERIFY_TESTS),
+    Mutant("verdict-strict", MC, "np.less_equal(value, tolerance)", "np.less(value, tolerance)", VERIFY_TESTS),
+    Mutant("gate-pair-halves-swapped", MC, GATE_HALVES,
+           GATE_HALVES.replace("(value, _)", "(_, value)").replace("(_, tol)", "(tol, _)"), VERIFY_TESTS),
     # verify walks the planned ensembles
     Mutant("verify-one-seed", MC, "marks, budget.replicas, seed,", "marks, budget.replicas, budget.seed,",
            VERIFY_TESTS),
@@ -111,6 +117,8 @@ MUTANTS = [
     Mutant("checkpoints-no-floor", MC, "    _checkpoint_marks(n_steps, [])  # n_steps >= 1, before numpy reads it\n",
            "",
            ("tests/test_cli.py::TestUsageContract::test_steps_below_one_rejected_before_the_checkpoints",)),
+    Mutant("oracle-block-separator", "src/memwalk/cli.py", '(",\\n" if start else "")', '""',
+           ("tests/test_cli.py::TestOracleCommand::test_bytes_match_the_indented_json_encoder",)),
     # the samplers
     Mutant("kernel-stale-coefficient", MC, "c.fill(lam2 / n)", "if n != 2: c.fill(lam2 / n)", KERNEL_TESTS),
     Mutant("refill-column-offset", MC, "= part.T", "= np.roll(part.T, 1, axis=1)", KERNEL_TESTS),
@@ -158,6 +166,9 @@ MUTANTS = [
     Mutant("t2-weight", THEORY, "/ math.gamma(1.0 + r) ** 2 - 1.0", "/ math.gamma(1.0 + r) ** 2",
            ("tests/test_theory.py::TestSquareSeries", "tests/test_theory.py::TestLimitMoments")),
     Mutant("c2-term", THEORY, "+ 0.5 * c1 * c1", "+ c1 * c1", ("tests/test_theory.py::TestSquareSeries",)),
+    Mutant("lln-negative-zero", THEORY, "if theta != 1.0:", "if True:",
+           ("tests/test_theory.py::TestLlnLimit::test_pure_memory_limit_is_positive_zero",
+            "tests/test_cli.py::TestTheoryCommand::test_pure_memory_point_has_positive_zero_lln_limit")),
     Mutant("table-need-no-dd", THEORY, "+ d + d * d)", "+ d)",
            ("tests/test_theory.py::TestExactMoments::test_table_limit_at_its_boundary",)),
     # the exact oracle
